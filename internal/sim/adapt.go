@@ -70,34 +70,12 @@ func newAdaptState(cfg *Config, crashed []int) *adaptState {
 	}
 }
 
-// unionCols merges two ascending, disjoint column lists.
-func unionCols(a, b []int) []int {
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] < b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
 // atBoundary runs the controller at epoch boundary E. Every chunk must
 // have simulated exactly the steps <= E (clock at E+1), so the harvested
 // blame is identical in both engines. Returns the pebbles added to the
 // chunks' remaining counters; the parallel caller mirrors them into its
 // global counter.
 func (a *adaptState) atBoundary(boundary int64, chunks []*chunk) int64 {
-	epoch := int64(a.policy.Epoch)
 	var cands []adapt.Candidate
 	if a.budget > 0 {
 		for _, c := range chunks {
@@ -115,15 +93,9 @@ func (a *adaptState) atBoundary(boundary int64, chunks []*chunk) int64 {
 	// ongoing blocked spans are clipped at this boundary from now on.
 	for _, c := range chunks {
 		for pi := range c.procs {
-			p := &c.procs[pi]
-			for i := range p.blame {
-				for j := range p.blame[i].dep {
-					p.blame[i].dep[j] = 0
-				}
-			}
+			clear(c.procs[pi].depBlame)
 		}
 		c.epochStart = boundary
-		_ = epoch
 	}
 	return added
 }
@@ -149,28 +121,29 @@ func (a *adaptState) harvest(c *chunk, boundary int64, cands []adapt.Candidate) 
 			continue
 		}
 		// blame per dependency column: the closed spans recorded in
-		// p.blame plus the open spans of still-blocked columns.
+		// p.depBlame plus the open spans of still-blocked columns.
 		blame := map[int32]int64{}
 		for i := range p.cols {
 			oc := &p.cols[i]
 			if oc.dormant {
 				continue
 			}
-			for j := range p.blame[i].dep {
-				if p.blame[i].dep[j] > 0 {
-					blame[oc.neighbors[j]] += p.blame[i].dep[j]
+			lo, hi := oc.nbOff, oc.nbOff+oc.nbN
+			for j := lo; j < hi; j++ {
+				if p.depBlame[j] > 0 {
+					blame[p.nbCol[j]] += p.depBlame[j]
 				}
 			}
 			if oc.next <= c.T && oc.missing > 0 {
-				from := p.blame[i].start
+				from := p.blockedAt[i]
 				if from < c.epochStart {
 					from = c.epochStart
 				}
 				if dur := boundary - from; dur > 0 {
 					dep := oc.next - 1
-					for j := range oc.neighbors {
-						if !p.know.has(oc.nbDense[j], dep) {
-							blame[oc.neighbors[j]] += dur
+					for j := lo; j < hi; j++ {
+						if !p.know.has(p.nbDense[j], dep) {
+							blame[p.nbCol[j]] += dur
 						}
 					}
 				}

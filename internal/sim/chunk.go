@@ -9,11 +9,6 @@ import (
 	"latencyhide/internal/telemetry"
 )
 
-// kkey packs a (column, step) pair into a map key. The engine itself no
-// longer hashes — knowledge lives in the dense generation-indexed store
-// (dense.go) — but the u64map oracle tests still key it this way.
-func kkey(col, step int32) uint64 { return uint64(uint32(col))<<32 | uint64(uint32(step)) }
-
 // msg is one pebble value in transit along a route. next carries the next
 // destination's absolute position so relays never load the route record or
 // decode the chain — field alignment keeps the struct at 24 bytes with or
@@ -99,7 +94,13 @@ func (l *dlink) popInflight() msg {
 }
 
 // ownedCol is one database replica held by a workstation, together with the
-// greedy progress state for its pebble column.
+// greedy progress state for its pebble column. It is the per-pebble hot
+// record, so it holds exactly one cache line (64 bytes) and no slices: the
+// column's variable-length state lives in flat arrays it indexes by
+// offset/length pairs —
+//
+//	guest neighbors:  proc.nbCol/nbDense/depVals[nbOff : nbOff+nbN]
+//	routes it feeds:  routeTable.routeIDs[rtOff : rtOff+rtN]
 type ownedCol struct {
 	col       int32
 	selfDense int32  // col's index in the proc's dense knowledge store
@@ -107,44 +108,25 @@ type ownedCol struct {
 	missing   int32  // unknown dependencies for step `next`
 	lastVal   uint64 // value at step next-1 (own column, computed locally)
 	db        guest.Database
-	neighbors []int32 // guest-neighbor columns, ascending
-	nbDense   []int32 // dense store indexes, parallel to neighbors
-	routes    []int32 // routes this position feeds for this column
-	// depVals caches the dependency values for step `next`, parallel to
-	// neighbors. Slots are filled when the column advances (value already
-	// known) or pushed by recordValue when the awaited value lands, so the
-	// compute gather never probes the knowledge table.
-	depVals []uint64
-	// Release lists, precomputed at init so the per-pebble retention check
-	// needs no lookups: the owned indexes that consume this column's values
-	// and, parallel to neighbors, the owned indexes consuming each
-	// neighbor's values.
-	consSelf []int32
-	consNb   [][]int32
+	nbOff     int32 // first neighbor slot in the proc's flat arrays
+	nbN       int32 // guest neighbors (ascending from nbOff)
+	rtOff     int32 // first route id in routeTable.routeIDs
+	rtN       int32 // routes this position feeds for this column
 
 	// Adaptive replication (Config.Adapt; see adapt.go). standby marks a
 	// provisioned extra replica, appended after the base columns; dormant
 	// standbys never compute and hold no pebbles in the remaining counters
 	// until the controller activates them. The column's stall forensics live
-	// in the proc's side array (proc.blame, parallel to cols) so this hot
-	// struct stays compact on fault-free runs.
+	// in the proc's side arrays (proc.blockedAt, proc.depBlame) so this hot
+	// record stays compact.
 	standby bool
 	dormant bool
 }
 
-// colBlame is one column's stall forensics (adaptive runs only, harvested
-// by the controller at epoch boundaries): when the column blocks on missing
-// dependencies, start remembers the step, and on unblock the span is
-// charged to the last-arriving dependency's slot in dep.
-type colBlame struct {
-	start int64
-	dep   []int64 // parallel to the column's neighbors
-}
-
 // waitNode is one entry in a proc's pooled waiter lists: owned index `idx`
 // is blocked on the key the list hangs off and will receive the value in
-// depVals[slot]; `next` chains within the pool (-1 ends the list). Freed
-// nodes are recycled through waitFree.
+// the proc's depVals[slot]; `next` chains within the pool (-1 ends the
+// list). Freed nodes are recycled through waitFree.
 type waitNode struct {
 	idx  int32
 	slot int32
@@ -155,6 +137,15 @@ type waitNode struct {
 type proc struct {
 	pos  int32
 	cols []ownedCol
+	// Neighbor slots of every owned column, concatenated (ownedCol.nbOff
+	// indexes them): the guest column, its dense store index, and the cached
+	// dependency value for the owning column's step `next`. depVals slots
+	// are filled when the column advances (value already known) or pushed by
+	// recordValue when the awaited value lands, so the compute gather never
+	// probes the knowledge table.
+	nbCol   []int32
+	nbDense []int32
+	depVals []uint64
 	// know is the dense knowledge store: known values and pending-waiter
 	// anchors, indexed by (dense column, step) — see dense.go.
 	know      denseKnow
@@ -170,9 +161,13 @@ type proc struct {
 	// still receives it via the pre-provisioned route, so a second sighting
 	// of those values is benign rather than a conservation violation.
 	dupDense []bool
-	// blame (adaptive runs only) is the per-column stall forensics, parallel
-	// to cols; nil on fault-free runs.
-	blame []colBlame
+	// Stall forensics (adaptive runs only, harvested by the controller at
+	// epoch boundaries; nil otherwise): when a column blocks on missing
+	// dependencies, blockedAt (parallel to cols) remembers the step, and on
+	// unblock the span is charged to the last-arriving dependency's slot in
+	// depBlame (parallel to depVals).
+	blockedAt []int64
+	depBlame  []int64
 
 	// waiter-pool accounting (always-on plain increments; flushed into the
 	// telemetry shard periodically when a registry is attached)
@@ -285,52 +280,78 @@ func newChunk(cfg *Config, rt *routeTable, lo, hi int) *chunk {
 		now:         1,
 		txFlag:      make([]bool, 2*n),
 		traceWindow: cfg.TraceWindow,
+		adaptOn:     cfg.ast != nil,
 	}
 	if cfg.Recorder != nil {
 		c.buf = obs.NewBuffer()
 	}
 	c.procs = make([]proc, hi-lo)
 	factory := cfg.Guest.Factory()
-	c.adaptOn = cfg.ast != nil
+	neighbors := cfg.Guest.Graph.Neighbors
+	// held[pos-lo] lists the position's base columns, then its standbys.
+	// One backing array per record kind serves the whole chunk, so every
+	// replica record shares a single allocation and neighboring
+	// workstations' state is contiguous.
+	held := make([][]int, hi-lo)
+	var nCols, nSlots int
+	for pos := lo; pos < hi; pos++ {
+		cols := cfg.Assign.Owned[pos]
+		if c.adaptOn && len(cfg.ast.extraCols[pos]) > 0 {
+			cols = append(append([]int(nil), cols...), cfg.ast.extraCols[pos]...)
+		}
+		held[pos-lo] = cols
+		nCols += len(cols)
+		for _, col := range cols {
+			nSlots += len(neighbors(col))
+		}
+	}
+	cols := make([]ownedCol, nCols)
+	nbCol := make([]int32, nSlots)
+	nbDense := make([]int32, nSlots)
+	depVals := make([]uint64, nSlots)
 	for pos := lo; pos < hi; pos++ {
 		p := &c.procs[pos-lo]
 		p.pos = int32(pos)
-		owned := cfg.Assign.Owned[pos]
-		var extra []int
-		if c.adaptOn {
-			extra = cfg.ast.extraCols[pos]
+		base := len(cfg.Assign.Owned[pos])
+		all := held[pos-lo]
+		slots := 0
+		for _, col := range all {
+			slots += len(neighbors(col))
 		}
-		p.cols = make([]ownedCol, len(owned)+len(extra))
-		universe := colUniverse(cfg.Guest.Graph.Neighbors, unionCols(owned, extra))
-		p.know = newDenseKnow(universe)
+		p.cols, cols = cols[:len(all):len(all)], cols[len(all):]
+		p.nbCol, nbCol = nbCol[:slots:slots], nbCol[slots:]
+		p.nbDense, nbDense = nbDense[:slots:slots], nbDense[slots:]
+		p.depVals, depVals = depVals[:slots:slots], depVals[slots:]
+		universe := colUniverse(neighbors, all)
+		// cons[d] counts the local reads of dense column d's values: each
+		// held column reads its own and each neighbor's. The knowledge store
+		// retires a value once all of them have computed past it.
+		cons := make([]int32, len(universe))
 		p.waitFree = -1
-		allCols := owned
-		if len(extra) > 0 {
-			allCols = append(append(make([]int, 0, len(owned)+len(extra)), owned...), extra...)
-		}
 		if c.adaptOn {
-			p.blame = make([]colBlame, len(p.cols))
+			p.blockedAt = make([]int64, len(all))
+			p.depBlame = make([]int64, slots)
 		}
-		for i, col := range allCols {
+		slot := int32(0)
+		for i, col := range all {
 			oc := &p.cols[i]
 			oc.col = int32(col)
 			oc.selfDense = denseIndex(universe, oc.col)
+			cons[oc.selfDense]++
 			oc.next = 1
 			oc.db = factory(col, cfg.Guest.Seed)
-			for _, nb := range cfg.Guest.Graph.Neighbors(col) {
-				oc.neighbors = append(oc.neighbors, int32(nb))
-				oc.nbDense = append(oc.nbDense, denseIndex(universe, int32(nb)))
+			oc.nbOff = slot
+			for _, nb := range neighbors(col) {
+				p.nbCol[slot] = int32(nb)
+				p.nbDense[slot] = denseIndex(universe, int32(nb))
+				cons[p.nbDense[slot]]++
+				// Step-1 dependencies are the initial values, known up front.
+				p.depVals[slot] = cfg.Guest.InitialValue(nb)
+				slot++
 			}
-			// Step-1 dependencies are the initial values, known up front.
-			oc.depVals = make([]uint64, len(oc.neighbors))
-			for j, nb := range oc.neighbors {
-				oc.depVals[j] = cfg.Guest.InitialValue(int(nb))
-			}
-			if c.adaptOn {
-				p.blame[i].dep = make([]int64, len(oc.neighbors))
-			}
-			if i < len(owned) {
-				oc.routes = rt.routesFor(pos, i)
+			oc.nbN = slot - oc.nbOff
+			if i < base {
+				oc.rtOff, oc.rtN = rt.routeSpan(pos, i)
 				p.remaining += int64(c.T)
 			} else {
 				// Standby replica: dormant, no routes (standbys never send),
@@ -342,34 +363,16 @@ func newChunk(cfg *Config, rt *routeTable, lo, hi int) *chunk {
 				p.dupDense[oc.selfDense] = true
 			}
 		}
-		// consumers: owned column c' consumes its own values and its
-		// guest neighbors' values. Resolve the lookup once into the
-		// per-column release lists so the hot path never consults a map.
-		consumers := make(map[int32][]int32, len(owned))
-		for i := range p.cols {
-			oc := &p.cols[i]
-			consumers[oc.col] = append(consumers[oc.col], int32(i))
-			for _, nb := range oc.neighbors {
-				consumers[nb] = append(consumers[nb], int32(i))
-			}
-		}
-		for i := range p.cols {
-			oc := &p.cols[i]
-			oc.consSelf = consumers[oc.col]
-			oc.consNb = make([][]int32, len(oc.neighbors))
-			for j, nb := range oc.neighbors {
-				oc.consNb[j] = consumers[nb]
-			}
-		}
+		p.know = newDenseKnow(universe, cons)
 		// All step-0 values are initial state, known everywhere, so every
 		// base column starts ready (when T >= 1). Standby columns wait for
 		// activation.
 		if c.T >= 1 {
 			p.ready = make(readyQueue, 0, len(p.cols))
-			for i := 0; i < len(owned); i++ {
+			for i := 0; i < base; i++ {
 				p.ready.push(readyKey(1, int32(i)))
 			}
-			if len(owned) > 0 {
+			if base > 0 {
 				p.active = true
 				c.activeList = append(c.activeList, int32(pos))
 			}
@@ -550,19 +553,19 @@ func (c *chunk) recordValue(p *proc, dense, step int32, value uint64) {
 	}
 	for ni := head; ni >= 0; {
 		n := &p.waitPool[ni]
+		p.depVals[n.slot] = value
 		oc := &p.cols[n.idx]
-		oc.depVals[n.slot] = value
 		oc.missing--
 		if oc.missing == 0 {
 			if c.adaptOn {
 				// Forensics: charge the blocked span (clipped to the current
 				// epoch) to the last-arriving dependency's slot.
-				from := p.blame[n.idx].start
+				from := p.blockedAt[n.idx]
 				if from < c.epochStart {
 					from = c.epochStart
 				}
 				if dur := c.now - from; dur > 0 {
-					p.blame[n.idx].dep[n.slot] += dur
+					p.depBlame[n.slot] += dur
 				}
 			}
 			p.ready.push(readyKey(oc.next, n.idx))
@@ -592,15 +595,17 @@ func (c *chunk) computeOne(p *proc) bool {
 		panic(fmt.Sprintf("sim: ready entry step %d != next %d for col %d at pos %d",
 			t, oc.next, oc.col, p.pos))
 	}
-	// Dependency values at step t-1 live in oc.depVals, filled when the
-	// column advanced (or prefilled with initial values for t == 1).
+	// Dependency values at step t-1 live in the column's depVals slots,
+	// filled when the column advanced (or prefilled with initial values for
+	// t == 1).
 	var self uint64
 	if t == 1 {
 		self = c.cfg.Guest.InitialValue(int(oc.col))
 	} else {
 		self = oc.lastVal
 	}
-	v := c.cfg.Guest.Compute(oc.db.Digest(), int(oc.col), int(t), self, oc.depVals)
+	lo, hi := oc.nbOff, oc.nbOff+oc.nbN
+	v := c.cfg.Guest.Compute(oc.db.Digest(), int(oc.col), int(t), self, p.depVals[lo:hi])
 	oc.db.Apply(guest.Update{Node: int(oc.col), Step: int(t), Val: v})
 	oc.lastVal = v
 	p.computed++
@@ -623,7 +628,7 @@ func (c *chunk) computeOne(p *proc) bool {
 		if !oc.standby || !p.know.has(oc.selfDense, t) {
 			c.recordValue(p, oc.selfDense, t, v)
 		}
-		for _, rid := range oc.routes {
+		for _, rid := range c.rt.routeIDs[oc.rtOff : oc.rtOff+oc.rtN] {
 			r := &c.rt.routes[rid]
 			next := p.pos + c.rt.chainArena[r.off]
 			if r.dir < 0 {
@@ -634,16 +639,14 @@ func (c *chunk) computeOne(p *proc) bool {
 		}
 	}
 
-	// Advance to step t+1 before retiring: the computing column is its own
-	// consumer, so the release checks below must see it already past step t
-	// or nothing would ever retire.
 	oc.next = t + 1
 
-	// Release step t-1 dependency values no local column still needs.
+	// This column has read its step t-1 dependencies for the last time:
+	// count each one consumed, retiring any value it was the last reader of.
 	if t >= 2 {
-		c.release(p, oc.consSelf, oc.selfDense, t-1)
-		for j := range oc.neighbors {
-			c.release(p, oc.consNb[j], oc.nbDense[j], t-1)
+		p.know.consume(oc.selfDense, t-1)
+		for _, d := range p.nbDense[lo:hi] {
+			p.know.consume(d, t-1)
 		}
 	}
 
@@ -652,34 +655,21 @@ func (c *chunk) computeOne(p *proc) bool {
 	}
 	missing := int32(0)
 	// Self value (oc.col, t) was stored above (t < T here since next <= T).
-	for j := range oc.neighbors {
-		if dv, ok := p.know.get(oc.nbDense[j], t); ok {
-			oc.depVals[j] = dv
+	for j := lo; j < hi; j++ {
+		if dv, ok := p.know.get(p.nbDense[j], t); ok {
+			p.depVals[j] = dv
 		} else {
 			missing++
-			p.addWaiter(oc.nbDense[j], t, idx, int32(j))
+			p.addWaiter(p.nbDense[j], t, idx, j)
 		}
 	}
 	oc.missing = missing
 	if missing == 0 {
 		p.ready.push(readyKey(oc.next, idx))
 	} else if c.adaptOn {
-		p.blame[idx].start = c.now
+		p.blockedAt[idx] = c.now
 	}
 	return true
-}
-
-// release retires (dense, step) from p.know once every consumer in cons
-// (the owned indexes that read that column's values) has advanced past
-// needing it (a consumer needs step s values while its next computed step
-// is <= s+1).
-func (c *chunk) release(p *proc, cons []int32, dense, step int32) {
-	for _, idx := range cons {
-		if p.cols[idx].next <= step+1 {
-			return
-		}
-	}
-	p.know.del(dense, step)
 }
 
 // deliveriesFor pops every message on l arriving exactly at step `now` and

@@ -1,11 +1,14 @@
 package sim
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
 // Dense generation-indexed knowledge storage.
 //
 // The knowledge tables keyed by (column, step) used to be open-addressing
-// hash maps (u64map), and profiling showed the engine spending roughly half
+// hash maps, and profiling showed the engine spending roughly half
 // its cycles hashing and probing them. But the key space is structured: a
 // workstation only ever keys the columns it holds plus their guest
 // neighbors (a small static universe fixed by the assignment), and for each
@@ -27,19 +30,22 @@ import "sort"
 // The pooled waiter lists that used to hang off a second hash map rehome
 // onto the same slots: a slot whose value has not arrived yet carries the
 // head of the waiter chain instead, so addWaiter and recordValue never hash
-// either. u64map survives only as the differential test oracle
-// (FuzzDenseKnowledge).
+// either. A known value's slot carries its retirement count in the same
+// field: every ring knows how many local consumers read its column (cons),
+// a value lands with -cons, each consumer's compute past it counts it up,
+// and the last one retires it — no consumer scans on the hot path.
 //
 // Slot states, for a slot whose tag matches the queried step:
 //
-//	waitHead <  0: the value is known and stored in val
+//	waitHead <  0: the value is known and stored in val; -waitHead local
+//	               consumers have yet to compute past it
 //	waitHead >= 0: the value is still missing; waitHead chains the pooled
 //	               waiter nodes that want it (see proc.waitPool)
 //
 // A zero tag means the slot is empty (guest steps are >= 1).
 type kslot struct {
 	step     int32 // generation tag: the guest step stored here; 0 = empty
-	waitHead int32 // waiter chain head when the value is pending; -1 = value known
+	waitHead int32 // waiter chain head when pending; -(consumers left) when known
 	val      uint64
 }
 
@@ -47,6 +53,7 @@ type kslot struct {
 type kring struct {
 	slots []kslot
 	live  int32 // claimed slots (known values + pending waiter anchors)
+	cons  int32 // local consumers of the column: owned replicas reading it
 }
 
 func (r *kring) at(step int32) *kslot {
@@ -77,20 +84,22 @@ type denseKnow struct {
 const initRingSlots = 8
 
 // colUniverse returns the sorted distinct guest columns that can ever be
-// keyed at a position holding `owned`: the owned columns plus their guest
-// neighbors. Routes only deliver a column's values to holders of its
-// neighbors, and local computes only record owned columns, so this universe
-// is exact and static for the whole run.
-func colUniverse(neighbors func(int) []int, owned []int) []int32 {
-	if len(owned) == 0 {
-		return nil
-	}
-	u := make([]int32, 0, 4*len(owned))
-	for _, c := range owned {
-		u = append(u, int32(c))
-		for _, nb := range neighbors(c) {
-			u = append(u, int32(nb))
+// keyed at a position holding the columns in `held` (base and standby
+// lists): those columns plus their guest neighbors. Routes only deliver a
+// column's values to holders of its neighbors, and local computes only
+// record held columns, so this universe is exact and static for the run.
+func colUniverse(neighbors func(int) []int, held ...[]int) []int32 {
+	var u []int32
+	for _, cols := range held {
+		for _, c := range cols {
+			u = append(u, int32(c))
+			for _, nb := range neighbors(c) {
+				u = append(u, int32(nb))
+			}
 		}
+	}
+	if len(u) == 0 {
+		return nil
 	}
 	sort.Slice(u, func(i, j int) bool { return u[i] < u[j] })
 	out := u[:1]
@@ -119,14 +128,21 @@ func denseIndex(universe []int32, col int32) int32 {
 	return -1
 }
 
-func newDenseKnow(universe []int32) denseKnow {
+// newDenseKnow builds the store for a universe whose column i has cons[i]
+// local consumers. Every column needs at least one: with none its values
+// could never retire, and a zero count would read as a pending chain.
+func newDenseKnow(universe, cons []int32) denseKnow {
 	k := denseKnow{universe: universe, rings: make([]kring, len(universe))}
 	// One backing array for all initial rings keeps init to a single
 	// allocation; rings that grow reallocate individually.
 	backing := make([]kslot, len(universe)*initRingSlots)
 	for i := range k.rings {
+		if cons[i] < 1 {
+			panic(fmt.Sprintf("sim: knowledge column %d has no local consumer", universe[i]))
+		}
 		lo := i * initRingSlots
 		k.rings[i].slots = backing[lo : lo+initRingSlots : lo+initRingSlots]
+		k.rings[i].cons = cons[i]
 	}
 	k.slots = int32(len(universe) * initRingSlots)
 	k.slotsPeak = k.slots
@@ -185,19 +201,23 @@ func (k *denseKnow) claim(r *kring, s *kslot, step int32) {
 
 // put stores the value for (dense, step) and returns the head of any waiter
 // chain that was pending on it (-1 when none). The caller owns draining the
-// chain; the slot itself transitions to the known state.
+// chain; the slot itself transitions to the known state with the ring's full
+// consumer count. A put on an already-known slot keeps the count it has, so
+// consumers that already computed past the value stay counted.
 func (k *denseKnow) put(dense, step int32, val uint64) int32 {
 	r := &k.rings[dense]
 	s := k.ensure(r, step)
-	if s.step == 0 {
-		k.claim(r, s, step)
-		s.waitHead = -1
-		s.val = val
-		return -1
-	}
-	head := s.waitHead
-	s.waitHead = -1
 	s.val = val
+	head := int32(-1)
+	switch {
+	case s.step == 0:
+		k.claim(r, s, step)
+	case s.waitHead < 0:
+		return -1
+	default:
+		head = s.waitHead
+	}
+	s.waitHead = -r.cons
 	return head
 }
 
@@ -215,29 +235,33 @@ func (k *denseKnow) waiterSlot(dense, step int32) *kslot {
 	return s
 }
 
-// del retires a known value. Clearing the generation tag is the entire
-// deletion — no backward shift, no tombstone — which is why heavy churn
-// cannot degrade this store. Pending-waiter slots are never deleted: the
-// engine only retires values whose consumers have all advanced past them,
-// and a consumer blocked on the value has, by definition, not.
+// consume records that one local consumer has computed past (dense, step)
+// and retires the value when it was the last. Clearing the generation tag is
+// the entire deletion — no backward shift, no tombstone — which is why heavy
+// churn cannot degrade this store. Pending-waiter slots are never consumed:
+// a consumer only computes past values it has, so the check is defensive.
 //
 // When occupancy falls to a quarter of a grown ring (or the ring drains
 // entirely), the ring shrinks back toward initRingSlots, so a growth spike
 // — a standby host's pinned history released by activation, a churn burst —
 // costs peak bytes only while it is live. live decrements one at a time, so
 // the equality check crosses exactly once per descent instead of rescanning
-// the ring on every del.
-func (k *denseKnow) del(dense, step int32) {
+// the ring on every retirement.
+func (k *denseKnow) consume(dense, step int32) {
 	r := &k.rings[dense]
 	s := r.at(step)
-	if s.step == step && s.waitHead < 0 {
-		s.step = 0
-		s.val = 0
-		r.live--
-		k.live--
-		if len(r.slots) > initRingSlots && (r.live*4 == int32(len(r.slots)) || r.live == 0) {
-			k.shrink(r)
-		}
+	if s.step != step || s.waitHead >= 0 {
+		return
+	}
+	if s.waitHead++; s.waitHead < 0 {
+		return
+	}
+	s.step = 0
+	s.val = 0
+	r.live--
+	k.live--
+	if len(r.slots) > initRingSlots && (r.live*4 == int32(len(r.slots)) || r.live == 0) {
+		k.shrink(r)
 	}
 }
 

@@ -2,12 +2,13 @@ package sim
 
 import (
 	"testing"
+	"unsafe"
 
 	"latencyhide/internal/guest"
 )
 
 func singleColKnow() denseKnow {
-	return newDenseKnow([]int32{7})
+	return newDenseKnow([]int32{7}, []int32{1})
 }
 
 func TestColUniverse(t *testing.T) {
@@ -44,7 +45,7 @@ func TestDenseRingWrapNoGrowth(t *testing.T) {
 			t.Fatalf("step %d: unexpected waiter chain %d", s, head)
 		}
 		if s > 2 {
-			k.del(0, s-2)
+			k.consume(0, s-2)
 		}
 		if v, ok := k.get(0, s); !ok || v != uint64(s)*3 {
 			t.Fatalf("step %d lost", s)
@@ -100,7 +101,8 @@ func TestDenseRingGrowthRehomes(t *testing.T) {
 	}
 }
 
-// A pending waiter anchor must hide the value from get/has, survive del, and
+// A pending waiter anchor must hide the value from get/has, survive consume,
+// and
 // hand its chain head back to put exactly once.
 func TestDenseWaiterAnchor(t *testing.T) {
 	k := singleColKnow()
@@ -112,9 +114,9 @@ func TestDenseWaiterAnchor(t *testing.T) {
 	if k.has(0, 5) {
 		t.Fatal("pending slot reported known")
 	}
-	k.del(0, 5) // engine never retires a pending slot; must be a no-op
+	k.consume(0, 5) // engine never consumes a pending slot; must be a no-op
 	if k.size() != 1 {
-		t.Fatalf("del removed a pending anchor: size %d", k.size())
+		t.Fatalf("consume removed a pending anchor: size %d", k.size())
 	}
 	if head := k.put(0, 5, 77); head != 42 {
 		t.Fatalf("put returned chain %d, want 42", head)
@@ -138,7 +140,7 @@ func TestDenseRingShrinkAfterSpike(t *testing.T) {
 		t.Fatalf("slots = %d after spike, want 32", k.slots)
 	}
 	for s := int32(1); s <= 24; s++ {
-		k.del(0, s)
+		k.consume(0, s)
 	}
 	if k.shrinks != 1 {
 		t.Fatalf("shrinks = %d, want 1", k.shrinks)
@@ -170,10 +172,10 @@ func TestDenseRingShrinkWrapBoundary(t *testing.T) {
 		t.Fatalf("slots = %d, want 16", k.slots)
 	}
 	for s := int32(1); s <= 5; s++ {
-		k.del(0, s)
+		k.consume(0, s)
 	}
 	for s := int32(10); s <= 16; s++ {
-		k.del(0, s)
+		k.consume(0, s)
 	}
 	if k.shrinks != 1 || k.slots != initRingSlots {
 		t.Fatalf("shrinks = %d slots = %d, want 1 and %d", k.shrinks, k.slots, initRingSlots)
@@ -196,7 +198,7 @@ func TestDenseWaiterSurvivesShrink(t *testing.T) {
 	ws := k.waiterSlot(0, 10)
 	ws.waitHead = 42 // chain a fake pool node, as addWaiter does
 	for _, s := range []int32{1, 2, 3, 4, 5, 6, 7, 8, 9, 14, 15, 16} {
-		k.del(0, s)
+		k.consume(0, s)
 	}
 	if k.shrinks != 1 || k.slots != initRingSlots {
 		t.Fatalf("shrinks = %d slots = %d, want 1 and %d", k.shrinks, k.slots, initRingSlots)
@@ -228,7 +230,7 @@ func TestDenseRingShrinkRefusesWideSpan(t *testing.T) {
 	}
 	// live 17 -> 16 crosses len/4, but survivors {1..15, 33} span 33 > 32:
 	// the shrink must refuse rather than break residue distinctness.
-	k.del(0, 16)
+	k.consume(0, 16)
 	if k.shrinks != 0 {
 		t.Fatalf("shrank with live span still wide: %d", k.shrinks)
 	}
@@ -236,9 +238,9 @@ func TestDenseRingShrinkRefusesWideSpan(t *testing.T) {
 		t.Fatal("step 33 lost")
 	}
 	for s := int32(1); s <= 15; s++ {
-		k.del(0, s)
+		k.consume(0, s)
 	}
-	k.del(0, 33) // live crosses 0: drained ring finally shrinks home
+	k.consume(0, 33) // live crosses 0: drained ring finally shrinks home
 	if k.shrinks != 1 || k.slots != initRingSlots {
 		t.Fatalf("drained ring did not shrink: shrinks %d slots %d", k.shrinks, k.slots)
 	}
@@ -247,7 +249,7 @@ func TestDenseRingShrinkRefusesWideSpan(t *testing.T) {
 // Engine-level retire-on-frontier: a fault-free run must finish with every
 // knowledge store empty and every ring back at its initial capacity — eager
 // retirement frees each value as the last local consumer advances past it,
-// and the final del of a grown ring shrinks it home.
+// and the final retirement in a grown ring shrinks it home.
 func TestEagerRetirementDrainsKnowledge(t *testing.T) {
 	cfg, rt := faultConfig(t)
 	c := runChunkToCompletion(t, cfg, rt)
@@ -263,50 +265,66 @@ func TestEagerRetirementDrainsKnowledge(t *testing.T) {
 }
 
 // FuzzDenseKnowledge drives random (col, step) operation sequences against
-// the dense store and the u64map oracle and asserts identical observable
-// results. The universe is fixed and small so rings collide and grow; steps
-// span enough range to force multi-doubling growth and wraparound. Shrinks
-// fire inside del, so every shrink is checked against the oracle too: the
-// live count, every stored value (final sweep), and the floor/peak slot
-// invariants must hold after it.
+// the dense store and a built-in map oracle that models the retirement
+// counts: a value lands owing its column's consumer count, each consume
+// pays one, and the last retires it. The universe is fixed and small so
+// rings collide and grow; steps span enough range to force multi-doubling
+// growth and wraparound. Shrinks fire inside consume, so every shrink is
+// checked against the oracle too: the live count, every stored value and
+// count (final sweep), and the floor/peak slot invariants must hold after it.
 func FuzzDenseKnowledge(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 2, 0, 1, 0, 1, 0, 1, 0})
-	f.Add([]byte{1, 1, 200, 0, 1, 1, 8, 0, 0, 1, 200, 0, 2, 1, 200, 0})
+	f.Add([]byte{1, 1, 200, 0, 1, 1, 8, 0, 0, 1, 200, 0, 2, 1, 200, 0, 2, 1, 200, 0})
 	f.Add([]byte{3, 2, 5, 0, 1, 2, 5, 0, 0, 2, 5, 0, 3, 3, 9, 1, 2, 3, 9, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		universe := []int32{2, 5, 7, 9, 100}
-		k := newDenseKnow(universe)
-		oracle := newU64map()        // known values, keyed kkey(col, step)
-		pending := map[uint64]bool{} // waiter anchors the oracle can't hold
+		cons := []int32{1, 2, 3, 1, 4}
+		k := newDenseKnow(universe, cons)
+		known := map[uint64]uint64{} // (dense, step) -> value
+		owed := map[uint64]int32{}   // consumes left before retirement
+		pending := map[uint64]bool{} // waiter anchors
+		key := func(ci, step int32) uint64 { return uint64(ci)<<32 | uint64(step) }
+		check := func(ci, step int32) {
+			ov, ook := known[key(ci, step)]
+			v, ok := k.get(ci, step)
+			if ok != ook || (ok && v != ov) {
+				t.Fatalf("(%d,%d): dense %d,%v oracle %d,%v", universe[ci], step, v, ok, ov, ook)
+			}
+			if ok {
+				if got := -k.rings[ci].at(step).waitHead; got != owed[key(ci, step)] {
+					t.Fatalf("(%d,%d): count %d, oracle %d", universe[ci], step, got, owed[key(ci, step)])
+				}
+			}
+		}
 		for len(data) >= 4 {
 			op, ci := data[0]&3, int32(data[1])%int32(len(universe))
 			step := 1 + int32(data[2]) | int32(data[3]&0x0f)<<8
 			data = data[4:]
-			col := universe[ci]
-			key := kkey(col, step)
+			kk := key(ci, step)
 			switch op {
 			case 0: // get
-				v, ok := k.get(ci, step)
-				ov, ook := oracle.get(key)
-				if ok != ook || (ok && v != ov) {
-					t.Fatalf("get(%d,%d) = %d,%v; oracle %d,%v", col, step, v, ok, ov, ook)
-				}
 			case 1: // put
-				val := uint64(step)*1000 + uint64(col)
+				val := uint64(step)*1000 + uint64(universe[ci])
 				head := k.put(ci, step, val)
-				if pending[key] {
+				if pending[kk] {
 					if head < 0 {
-						t.Fatalf("put(%d,%d) dropped a pending waiter chain", col, step)
+						t.Fatalf("put(%d,%d) dropped a pending waiter chain", universe[ci], step)
 					}
-					delete(pending, key)
+					delete(pending, kk)
 				} else if head != -1 {
-					t.Fatalf("put(%d,%d) invented waiter chain %d", col, step, head)
+					t.Fatalf("put(%d,%d) invented waiter chain %d", universe[ci], step, head)
 				}
-				oracle.put(key, val)
-			case 2: // del (engine only retires known values)
-				k.del(ci, step)
-				if !pending[key] {
-					oracle.del(key)
+				if _, ok := known[kk]; !ok {
+					owed[kk] = cons[ci]
+				}
+				known[kk] = val
+			case 2: // consume: a no-op unless the value is known
+				k.consume(ci, step)
+				if _, ok := known[kk]; ok {
+					if owed[kk]--; owed[kk] == 0 {
+						delete(known, kk)
+						delete(owed, kk)
+					}
 				}
 			default: // wait: engine only waits when the value is unknown
 				if k.has(ci, step) {
@@ -314,14 +332,15 @@ func FuzzDenseKnowledge(f *testing.F) {
 				}
 				s := k.waiterSlot(ci, step)
 				if s.step != step {
-					t.Fatalf("waiterSlot(%d,%d) claimed step %d", col, step, s.step)
+					t.Fatalf("waiterSlot(%d,%d) claimed step %d", universe[ci], step, s.step)
 				}
 				s.waitHead = 7 // chain a fake pool node, as addWaiter does
-				pending[key] = true
+				pending[kk] = true
 			}
-			if k.size() != oracle.size()+len(pending) {
+			check(ci, step)
+			if k.size() != len(known)+len(pending) {
 				t.Fatalf("live %d != oracle %d + pending %d",
-					k.size(), oracle.size(), len(pending))
+					k.size(), len(known), len(pending))
 			}
 			if k.slots < int32(len(universe)*initRingSlots) {
 				t.Fatalf("slots %d below the initRingSlots floor", k.slots)
@@ -330,15 +349,133 @@ func FuzzDenseKnowledge(f *testing.F) {
 				t.Fatalf("slotsPeak %d < slots %d", k.slotsPeak, k.slots)
 			}
 		}
-		// Final sweep: every key the oracle holds must be readable densely.
-		for ci, col := range universe {
+		// Final sweep: every key the oracle holds must be readable densely,
+		// with the same count owed.
+		for ci := range universe {
 			for step := int32(1); step <= 1+255+0x0f<<8; step++ {
-				ov, ook := oracle.get(kkey(col, step))
-				v, ok := k.get(int32(ci), step)
-				if ok != ook || (ok && v != ov) {
-					t.Fatalf("sweep (%d,%d): dense %d,%v oracle %d,%v", col, step, v, ok, ov, ook)
-				}
+				check(int32(ci), step)
 			}
 		}
 	})
+}
+
+// countedKnow is a one-column store whose column has k local consumers.
+func countedKnow(k int32) denseKnow {
+	return newDenseKnow([]int32{7}, []int32{k})
+}
+
+// A value read by k local consumers survives k-1 consumes and retires on
+// the k-th, exactly when the last consumer computes past it.
+func TestDenseConsumeRetiresOnLast(t *testing.T) {
+	for _, n := range []int32{1, 2, 5} {
+		k := countedKnow(n)
+		k.put(0, 3, 33)
+		for i := int32(1); i < n; i++ {
+			k.consume(0, 3)
+			if v, ok := k.get(0, 3); !ok || v != 33 {
+				t.Fatalf("cons %d: value gone after %d consumes", n, i)
+			}
+		}
+		k.consume(0, 3)
+		if k.has(0, 3) || k.size() != 0 {
+			t.Fatalf("cons %d: value survived its last consume (size %d)", n, k.size())
+		}
+		k.consume(0, 3) // an extra consume of a retired value is a no-op
+		if k.size() != 0 {
+			t.Fatalf("cons %d: consume of a retired value changed size %d", n, k.size())
+		}
+	}
+}
+
+// A put on an already-known slot must keep the count it has: consumers
+// that computed past the value stay counted.
+func TestDensePutKnownKeepsCount(t *testing.T) {
+	k := countedKnow(3)
+	k.put(0, 4, 44)
+	k.consume(0, 4)
+	if head := k.put(0, 4, 44); head != -1 {
+		t.Fatalf("re-put returned chain %d, want -1", head)
+	}
+	k.consume(0, 4)
+	if !k.has(0, 4) {
+		t.Fatal("re-put reset nothing but the value retired a consume early")
+	}
+	k.consume(0, 4)
+	if k.has(0, 4) {
+		t.Fatal("re-put reset the count: value outlived its third consume")
+	}
+}
+
+// A pending slot hands its whole waiter chain to the put that resolves it,
+// then counts down from the full consumer count like any other value.
+func TestDensePendingChainDrainsThenCounts(t *testing.T) {
+	k := countedKnow(2)
+	s := k.waiterSlot(0, 6)
+	s.waitHead = 9 // chain a fake pool node, as addWaiter does
+	k.consume(0, 6)
+	if k.size() != 1 || k.has(0, 6) {
+		t.Fatal("consume touched a pending anchor")
+	}
+	if head := k.put(0, 6, 66); head != 9 {
+		t.Fatalf("put returned chain %d, want 9", head)
+	}
+	if got := k.rings[0].at(6).waitHead; got != -2 {
+		t.Fatalf("resolved slot count %d, want -2", got)
+	}
+	k.consume(0, 6)
+	k.consume(0, 6)
+	if k.size() != 0 {
+		t.Fatalf("size %d after both consumers, want 0", k.size())
+	}
+}
+
+// Shrink fires at the same live*4 == len crossing whatever the consumer
+// count: with two consumers per value, only the second consume of the
+// retirement that takes live from 9 to 8 may shrink a 32-slot ring.
+func TestDenseShrinkCrossingWithCounts(t *testing.T) {
+	k := countedKnow(2)
+	for s := int32(1); s <= 32; s++ {
+		k.put(0, s, uint64(s))
+	}
+	for s := int32(1); s <= 24; s++ {
+		k.consume(0, s)
+		if k.shrinks != 0 {
+			t.Fatalf("shrank on the first consume of step %d", s)
+		}
+		k.consume(0, s)
+		want := int64(0)
+		if s == 24 {
+			want = 1
+		}
+		if k.shrinks != want {
+			t.Fatalf("after retiring step %d (live %d): shrinks %d, want %d", s, k.live, k.shrinks, want)
+		}
+	}
+	if k.slots != initRingSlots || k.live != 8 {
+		t.Fatalf("slots %d live %d, want %d and 8", k.slots, k.live, initRingSlots)
+	}
+}
+
+// A column with no local consumer could never retire, and its zero count
+// would read as a pending chain: the store refuses it.
+func TestDenseRejectsUnconsumedColumn(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("newDenseKnow accepted a column with zero consumers")
+		}
+	}()
+	newDenseKnow([]int32{3, 4}, []int32{1, 0})
+}
+
+// The replica record is the per-pebble hot state: one cache line.
+func TestOwnedColIsOneCacheLine(t *testing.T) {
+	if sz := unsafe.Sizeof(ownedCol{}); sz != 64 {
+		t.Fatalf("ownedCol is %d bytes, want 64", sz)
+	}
+	if sz := unsafe.Sizeof(kring{}); sz != 32 {
+		t.Fatalf("kring is %d bytes, want 32", sz)
+	}
+	if sz := unsafe.Sizeof(kslot{}); sz != 16 {
+		t.Fatalf("kslot is %d bytes, want 16", sz)
+	}
 }

@@ -71,7 +71,7 @@ type routeTable struct {
 }
 
 // newRouteShell builds an empty table with the sender index sized for the
-// assignment, so routesFor works before (or without) any routes existing.
+// assignment, so routeSpan works before (or without) any routes existing.
 func newRouteShell(a *assign.Assignment) *routeTable {
 	rt := &routeTable{senderBase: make([]int32, a.HostN+1)}
 	total := int32(0)
@@ -84,11 +84,11 @@ func newRouteShell(a *assign.Assignment) *routeTable {
 	return rt
 }
 
-// routesFor lists the route ids position pos feeds for its owned-column
-// slot i (parallel to assign.Owned[pos]).
-func (rt *routeTable) routesFor(pos, slot int) []int32 {
+// routeSpan locates the route ids position pos feeds for its owned-column
+// slot i (parallel to assign.Owned[pos]): routeIDs[off : off+n].
+func (rt *routeTable) routeSpan(pos, slot int) (off, n int32) {
 	s := rt.senderBase[pos] + int32(slot)
-	return rt.routeIDs[rt.slotOff[s]:rt.slotOff[s+1]]
+	return rt.slotOff[s], rt.slotOff[s+1] - rt.slotOff[s]
 }
 
 // destsOf decodes route id's destination positions in travel order.
@@ -211,11 +211,11 @@ func buildRoutes(g guest.Graph, a *assign.Assignment, avoid []int, extra [][]int
 	universes := make([][]int32, a.HostN)
 	uniFor := func(pos int32) []int32 {
 		if universes[pos] == nil {
-			owned := a.Owned[pos]
-			if extra != nil && len(extra[pos]) > 0 {
-				owned = unionCols(owned, extra[pos])
+			var standby []int
+			if extra != nil {
+				standby = extra[pos]
 			}
-			universes[pos] = colUniverse(g.Neighbors, owned)
+			universes[pos] = colUniverse(g.Neighbors, a.Owned[pos], standby)
 		}
 		return universes[pos]
 	}

@@ -164,11 +164,11 @@ func (rt *refRouteTable) refResolveDestDense(g guest.Graph, a *assign.Assignment
 	universes := make([][]int32, a.HostN)
 	uniFor := func(pos int32) []int32 {
 		if universes[pos] == nil {
-			owned := a.Owned[pos]
-			if extra != nil && len(extra[pos]) > 0 {
-				owned = unionCols(owned, extra[pos])
+			var standby []int
+			if extra != nil {
+				standby = extra[pos]
 			}
-			universes[pos] = colUniverse(g.Neighbors, owned)
+			universes[pos] = colUniverse(g.Neighbors, a.Owned[pos], standby)
 		}
 		return universes[pos]
 	}
@@ -313,8 +313,9 @@ func RouteDifferential(cfg Config, events bool) error {
 	}
 	for p := range ref.bySender {
 		for slot, ids := range ref.bySender[p] {
-			if got := rtNew.routesFor(p, slot); !eqI32(got, ids) && !(len(got) == 0 && len(ids) == 0) {
-				return fmt.Errorf("routesFor(%d, %d): compact %v, ref %v", p, slot, got, ids)
+			off, n := rtNew.routeSpan(p, slot)
+			if got := rtNew.routeIDs[off : off+n]; !eqI32(got, ids) && !(len(got) == 0 && len(ids) == 0) {
+				return fmt.Errorf("routeSpan(%d, %d): compact %v, ref %v", p, slot, got, ids)
 			}
 		}
 	}
