@@ -313,7 +313,7 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	mr := startMRun("run", args, *manifestOut, *liveFlag)
+	mr := startMRun("run", fs, *manifestOut, *liveFlag)
 	if mr.active() {
 		// A manifest promises boundary telemetry (ring occupancy, published
 		// clock lag), which only the parallel engine produces; default to two
@@ -631,7 +631,7 @@ func cmdSweep(args []string) error {
 	fs.Parse(args)
 
 	if *fleetN > 0 {
-		mr := startMRun("sweep", args, *manifestOut, *liveFlag)
+		mr := startMRun("sweep", fs, *manifestOut, *liveFlag)
 		p := fleet.Plan{Seed: *fleetSeed, N: *fleetN, Shards: *shards, Shard: *shard}
 		return runFleetSweep(os.Stdout, p, *fleetOut, *fleetWorkers, mr, *liveFlag)
 	}
@@ -644,7 +644,7 @@ func cmdSweep(args []string) error {
 	if err != nil {
 		return err
 	}
-	mr := startMRun("sweep", args, *manifestOut, *liveFlag)
+	mr := startMRun("sweep", fs, *manifestOut, *liveFlag)
 	var status struct {
 		sync.Mutex
 		line string
@@ -715,7 +715,7 @@ func cmdExp(args []string) error {
 	if err != nil {
 		return err
 	}
-	mr := startMRun("exp", args, *manifestOut, *liveFlag)
+	mr := startMRun("exp", fs, *manifestOut, *liveFlag)
 	mr.startSampling()
 	if *only != "" {
 		e := expt.Get(strings.ToUpper(*only))

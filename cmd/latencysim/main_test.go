@@ -359,6 +359,31 @@ func TestFlagErrorsGolden(t *testing.T) {
 // End-to-end: `run -manifest-out` must emit a manifest that passes the
 // schema contract (parallel engine by default, so boundary telemetry is
 // present), and `manifest -check` must accept it.
+// Two runs of one configuration that differ only in where the manifest
+// goes, or in the order their flags were given, carry the same config hash.
+func TestRunManifestConfigHash(t *testing.T) {
+	dir := t.TempDir()
+	hash := func(name string, args ...string) string {
+		path := filepath.Join(dir, name)
+		if err := cmdRun(append(args, "-manifest-out", path)); err != nil {
+			t.Fatalf("run %v: %v", args, err)
+		}
+		m, err := telemetry.LoadManifest(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.ConfigHash
+	}
+	a := hash("a.json", "-host", "line", "-n", "16", "-steps", "4", "-variant", "loadone")
+	b := hash("b.json", "-steps", "4", "-variant", "loadone", "-n", "16", "-host", "line")
+	if a != b {
+		t.Fatalf("same config hashed %s and %s", a, b)
+	}
+	if c := hash("c.json", "-host", "line", "-n", "16", "-steps", "5", "-variant", "loadone"); c == a {
+		t.Fatalf("different step counts share config hash %s", a)
+	}
+}
+
 func TestRunManifestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "m.json")

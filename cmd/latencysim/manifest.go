@@ -35,10 +35,10 @@ func manifestFlags(fs *flag.FlagSet) (manifestOut *string, live *bool) {
 	return
 }
 
-// startMRun begins manifest/live capture for one command invocation. args is
-// the command's raw argument list (hashed into the config identity). Returns
-// nil — a no-op — when neither flag was given.
-func startMRun(command string, args []string, manifestOut string, live bool) *mrun {
+// startMRun begins manifest/live capture for one command invocation. fs is
+// the command's parsed flag set, whose resolved values are hashed into the
+// config identity. Returns nil — a no-op — when neither flag was given.
+func startMRun(command string, fs *flag.FlagSet, manifestOut string, live bool) *mrun {
 	if manifestOut == "" && !live {
 		return nil
 	}
@@ -52,7 +52,7 @@ func startMRun(command string, args []string, manifestOut string, live bool) *mr
 		m: &telemetry.RunManifest{
 			Schema:     telemetry.ManifestSchema,
 			Command:    command,
-			ConfigHash: telemetry.ConfigHash(append([]string{command}, args...)),
+			ConfigHash: telemetry.ConfigHash(command, fs),
 			StartedAt:  time.Now().UTC().Format(time.RFC3339),
 		},
 	}

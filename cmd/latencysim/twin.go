@@ -44,7 +44,7 @@ func runTwin(args []string, w io.Writer) error {
 	if *report == *fit {
 		return fmt.Errorf("twin: pass exactly one of -report or -fit")
 	}
-	mr := startMRun("twin", args, *manifestOut, *liveFlag)
+	mr := startMRun("twin", fs, *manifestOut, *liveFlag)
 	results, source, err := twinResults(mr, *liveFlag, *store, *seed, *n, *workers)
 	if err != nil {
 		return err

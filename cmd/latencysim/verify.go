@@ -46,7 +46,7 @@ func runVerify(args []string, w io.Writer) error {
 			return sc
 		}
 	}
-	mr := startMRun("verify", args, *manifestOut, *liveFlag)
+	mr := startMRun("verify", fs, *manifestOut, *liveFlag)
 	var done atomic.Int64
 	mr.startSampling()
 	mr.startLive(*liveFlag, func() string {

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -114,14 +115,34 @@ type RunManifest struct {
 	Twin        []TwinFamily   `json:"twin,omitempty"`
 }
 
-// ConfigHash hashes the canonical argument list of a run into a stable
+// OutputOnlyFlags names the flags that choose where a run's outputs go or
+// how its progress is shown, never what runs. ConfigHash leaves them out.
+var OutputOnlyFlags = map[string]bool{
+	"manifest-out": true, "trace-out": true, "profile": true, "live": true,
+}
+
+// ConfigHash hashes a command's resolved configuration into a stable
 // identifier, so result stores can key on "same configuration" without
-// parsing flags.
-func ConfigHash(args []string) string {
+// parsing flags. It hashes the command, then every flag of the parsed set
+// as name=value in name order — defaults included, output-only flags
+// excluded — then the positional arguments. Flag order, spelling
+// (-n 256 vs -n=256), output paths and whether a default was given
+// explicitly do not change the hash; any change to a resolved value does.
+func ConfigHash(command string, fs *flag.FlagSet) string {
 	h := fnv.New64a()
-	for _, a := range args {
-		h.Write([]byte(a))
+	field := func(s string) {
+		h.Write([]byte(s))
 		h.Write([]byte{0})
+	}
+	field(command)
+	fs.VisitAll(func(f *flag.Flag) {
+		if !OutputOnlyFlags[f.Name] {
+			field(f.Name + "=" + f.Value.String())
+		}
+	})
+	field("--")
+	for _, a := range fs.Args() {
+		field(a)
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"flag"
 	"strings"
 	"sync"
 	"testing"
@@ -162,7 +163,7 @@ func TestManifestRoundTripAndValidate(t *testing.T) {
 	}
 	m := &RunManifest{
 		Command:        "run",
-		ConfigHash:     ConfigHash([]string{"run", "-n", "256"}),
+		ConfigHash:     hashArgs(t, "-n", "256"),
 		Scenario:       "host=random n=256",
 		Engine:         "parallel",
 		Workers:        2,
@@ -288,19 +289,70 @@ func TestManifestFleetTwinSections(t *testing.T) {
 	}
 }
 
+// hashArgs parses args into a small run-like flag set and hashes it.
+func hashArgs(t *testing.T, args ...string) string {
+	t.Helper()
+	fs := flag.NewFlagSet("run", flag.ContinueOnError)
+	fs.Int("n", 256, "hosts")
+	fs.Int("d", 4, "degree")
+	fs.Bool("check", false, "verify digests")
+	fs.String("manifest-out", "", "manifest path")
+	fs.String("trace-out", "", "trace path")
+	fs.String("profile", "", "profile path")
+	fs.Bool("live", false, "status line")
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return ConfigHash("run", fs)
+}
+
 func TestConfigHashStable(t *testing.T) {
-	a := ConfigHash([]string{"run", "-n", "256"})
-	b := ConfigHash([]string{"run", "-n", "256"})
-	c := ConfigHash([]string{"run", "-n", "512"})
-	if a != b {
+	a := hashArgs(t, "-n", "256")
+	if a != hashArgs(t, "-n", "256") {
 		t.Error("hash not deterministic")
 	}
-	if a == c {
-		t.Error("hash ignores arguments")
+	if a == hashArgs(t, "-n", "512") {
+		t.Error("hash ignores flag values")
 	}
-	// The NUL separator keeps ["ab","c"] distinct from ["a","bc"].
-	if ConfigHash([]string{"ab", "c"}) == ConfigHash([]string{"a", "bc"}) {
-		t.Error("hash does not separate arguments")
+	if a == hashArgs(t, "-n", "256", "-check") {
+		t.Error("hash ignores a boolean flag")
+	}
+	if a == hashArgs(t, "-n", "256", "extra") {
+		t.Error("hash ignores positional arguments")
+	}
+	fs := flag.NewFlagSet("run", flag.ContinueOnError)
+	if ConfigHash("run", fs) == ConfigHash("sweep", fs) {
+		t.Error("hash ignores the command")
+	}
+}
+
+// The hash is of the resolved configuration: flag order, spelling and an
+// explicitly given default all resolve to the same flag set.
+func TestConfigHashFlagOrderInvariant(t *testing.T) {
+	want := hashArgs(t, "-n", "256", "-d", "4")
+	for _, args := range [][]string{
+		{"-d", "4", "-n", "256"},
+		{"-d=4", "-n=256"},
+		{"-n", "256"},
+		{},
+	} {
+		if got := hashArgs(t, args...); got != want {
+			t.Errorf("%q hashes %s, want %s", args, got, want)
+		}
+	}
+}
+
+// Output-only flags say where results go, not what runs.
+func TestConfigHashOutputPathInvariant(t *testing.T) {
+	want := hashArgs(t, "-n", "128")
+	for _, args := range [][]string{
+		{"-n", "128", "-manifest-out", "a.json"},
+		{"-manifest-out", "b.json", "-n", "128"},
+		{"-n", "128", "-trace-out", "t.json", "-profile", "cpu.pprof", "-live"},
+	} {
+		if got := hashArgs(t, args...); got != want {
+			t.Errorf("%q hashes %s, want %s", args, got, want)
+		}
 	}
 }
 
