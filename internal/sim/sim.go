@@ -27,6 +27,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"latencyhide/internal/adapt"
@@ -190,6 +191,9 @@ func (c *Config) Validate() error {
 	if err := c.Assign.Validate(); err != nil {
 		return err
 	}
+	if err := c.checkEnvelope(); err != nil {
+		return err
+	}
 	if err := c.Faults.Validate(c.hostN()); err != nil {
 		return err
 	}
@@ -330,4 +334,61 @@ func Run(cfg Config) (*Result, error) {
 	res.Load = cfg.Assign.Load()
 	res.Bandwidth = cfg.bandwidth()
 	return res, err
+}
+
+// EnvelopeError reports a configuration outside the engine's int32
+// envelope: the hot state stores guest steps, link codes, neighbor slots and
+// route ids as int32, so a value past Limit would wrap silently.
+type EnvelopeError struct {
+	Field string
+	Value int64
+	Limit int64 // largest accepted value
+}
+
+func (e *EnvelopeError) Error() string {
+	return fmt.Sprintf("sim: %s = %d exceeds the engine's int32 envelope (max %d)", e.Field, e.Value, e.Limit)
+}
+
+// Envelope limits, each the largest value its int32 encoding can carry.
+const (
+	// maxGuestSteps keeps step T+1 (a finished column's next step) in an
+	// int32 generation tag.
+	maxGuestSteps = math.MaxInt32 - 1
+	// maxHostN keeps the largest link code, pos*2+1, in an int32.
+	maxHostN = (math.MaxInt32 + 1) / 2
+	// maxProcSlots bounds one workstation's neighbor slots (ownedCol.nbOff).
+	maxProcSlots = math.MaxInt32
+	// maxReplicas bounds the route ids: a column's holder sends at most one
+	// route each way, so routes <= 2*replicas must fit ownedCol.rtOff.
+	maxReplicas = math.MaxInt32 / 2
+)
+
+// checkEnvelope rejects configurations whose guest steps, host size,
+// per-workstation neighbor slots or route count overflow int32.
+func (c *Config) checkEnvelope() error {
+	var replicas, maxSlots int64
+	for _, cols := range c.Assign.Owned {
+		var slots int64
+		for _, col := range cols {
+			slots += int64(len(c.Guest.Graph.Neighbors(col)))
+		}
+		replicas += int64(len(cols))
+		maxSlots = max(maxSlots, slots)
+	}
+	return envelope(int64(c.Guest.Steps), int64(c.hostN()), maxSlots, replicas)
+}
+
+// envelope checks the int32 limits against the resolved figures.
+func envelope(steps, hostN, procSlots, replicas int64) error {
+	for _, f := range []EnvelopeError{
+		{"Guest.Steps", steps, maxGuestSteps},
+		{"host positions", hostN, maxHostN},
+		{"neighbor slots on one workstation", procSlots, maxProcSlots},
+		{"replicas", replicas, maxReplicas},
+	} {
+		if f.Value > f.Limit {
+			return &f
+		}
+	}
+	return nil
 }
