@@ -305,51 +305,36 @@ func newChunk(cfg *Config, rt *routeTable, lo, hi int) *chunk {
 			nSlots += len(neighbors(col))
 		}
 	}
-	cols := make([]ownedCol, nCols)
-	nbCol := make([]int32, nSlots)
-	nbDense := make([]int32, nSlots)
-	depVals := make([]uint64, nSlots)
+	cols := make([]ownedCol, 0, nCols)
+	nbCol := make([]int32, 0, nSlots)
+	nbDense := make([]int32, 0, nSlots)
+	depVals := make([]uint64, 0, nSlots)
 	for pos := lo; pos < hi; pos++ {
 		p := &c.procs[pos-lo]
 		p.pos = int32(pos)
+		p.waitFree = -1
 		base := len(cfg.Assign.Owned[pos])
 		all := held[pos-lo]
-		slots := 0
-		for _, col := range all {
-			slots += len(neighbors(col))
-		}
-		p.cols, cols = cols[:len(all):len(all)], cols[len(all):]
-		p.nbCol, nbCol = nbCol[:slots:slots], nbCol[slots:]
-		p.nbDense, nbDense = nbDense[:slots:slots], nbDense[slots:]
-		p.depVals, depVals = depVals[:slots:slots], depVals[slots:]
 		universe := colUniverse(neighbors, all)
 		// cons[d] counts the local reads of dense column d's values: each
 		// held column reads its own and each neighbor's. The knowledge store
 		// retires a value once all of them have computed past it.
 		cons := make([]int32, len(universe))
-		p.waitFree = -1
-		if c.adaptOn {
-			p.blockedAt = make([]int64, len(all))
-			p.depBlame = make([]int64, slots)
-		}
-		slot := int32(0)
+		c0, s0 := len(cols), len(nbCol)
 		for i, col := range all {
-			oc := &p.cols[i]
-			oc.col = int32(col)
+			oc := ownedCol{col: int32(col), next: 1, db: factory(col, cfg.Guest.Seed)}
 			oc.selfDense = denseIndex(universe, oc.col)
 			cons[oc.selfDense]++
-			oc.next = 1
-			oc.db = factory(col, cfg.Guest.Seed)
-			oc.nbOff = slot
+			oc.nbOff = int32(len(nbCol) - s0)
 			for _, nb := range neighbors(col) {
-				p.nbCol[slot] = int32(nb)
-				p.nbDense[slot] = denseIndex(universe, int32(nb))
-				cons[p.nbDense[slot]]++
+				d := denseIndex(universe, int32(nb))
+				cons[d]++
+				nbCol = append(nbCol, int32(nb))
+				nbDense = append(nbDense, d)
 				// Step-1 dependencies are the initial values, known up front.
-				p.depVals[slot] = cfg.Guest.InitialValue(nb)
-				slot++
+				depVals = append(depVals, cfg.Guest.InitialValue(nb))
 			}
-			oc.nbN = slot - oc.nbOff
+			oc.nbN = int32(len(nbCol)-s0) - oc.nbOff
 			if i < base {
 				oc.rtOff, oc.rtN = rt.routeSpan(pos, i)
 				p.remaining += int64(c.T)
@@ -362,6 +347,15 @@ func newChunk(cfg *Config, rt *routeTable, lo, hi int) *chunk {
 				}
 				p.dupDense[oc.selfDense] = true
 			}
+			cols = append(cols, oc)
+		}
+		p.cols = cols[c0:len(cols):len(cols)]
+		p.nbCol = nbCol[s0:len(nbCol):len(nbCol)]
+		p.nbDense = nbDense[s0:len(nbCol):len(nbCol)]
+		p.depVals = depVals[s0:len(nbCol):len(nbCol)]
+		if c.adaptOn {
+			p.blockedAt = make([]int64, len(p.cols))
+			p.depBlame = make([]int64, len(p.depVals))
 		}
 		p.know = newDenseKnow(universe, cons)
 		// All step-0 values are initial state, known everywhere, so every
