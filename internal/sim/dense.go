@@ -89,7 +89,14 @@ const initRingSlots = 8
 // column's values to holders of its neighbors, and local computes only
 // record held columns, so this universe is exact and static for the run.
 func colUniverse(neighbors func(int) []int, held ...[]int) []int32 {
-	var u []int32
+	n := 0
+	for _, cols := range held {
+		n += len(cols)
+	}
+	if n == 0 {
+		return nil
+	}
+	u := make([]int32, 0, 4*n)
 	for _, cols := range held {
 		for _, c := range cols {
 			u = append(u, int32(c))
@@ -97,9 +104,6 @@ func colUniverse(neighbors func(int) []int, held ...[]int) []int32 {
 				u = append(u, int32(nb))
 			}
 		}
-	}
-	if len(u) == 0 {
-		return nil
 	}
 	sort.Slice(u, func(i, j int) bool { return u[i] < u[j] })
 	out := u[:1]
