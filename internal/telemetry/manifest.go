@@ -115,9 +115,9 @@ type RunManifest struct {
 	Twin        []TwinFamily   `json:"twin,omitempty"`
 }
 
-// OutputOnlyFlags names the flags that choose where a run's outputs go or
+// outputOnlyFlags names the flags that choose where a run's outputs go or
 // how its progress is shown, never what runs. ConfigHash leaves them out.
-var OutputOnlyFlags = map[string]bool{
+var outputOnlyFlags = map[string]bool{
 	"manifest-out": true, "trace-out": true, "profile": true, "live": true,
 }
 
@@ -136,7 +136,7 @@ func ConfigHash(command string, fs *flag.FlagSet) string {
 	}
 	field(command)
 	fs.VisitAll(func(f *flag.Flag) {
-		if !OutputOnlyFlags[f.Name] {
+		if !outputOnlyFlags[f.Name] {
 			field(f.Name + "=" + f.Value.String())
 		}
 	})
