@@ -384,6 +384,26 @@ func TestRunManifestConfigHash(t *testing.T) {
 	}
 }
 
+// The same fleet sweep written to two result stores is one configuration.
+func TestFleetManifestConfigHash(t *testing.T) {
+	dir := t.TempDir()
+	hash := func(name string) string {
+		path := filepath.Join(dir, name+".json")
+		if err := cmdSweep([]string{"-fleet", "12", "-fleet-seed", "4", "-shards", "2", "-shard", "1",
+			"-fleet-out", filepath.Join(dir, name+".jsonl"), "-manifest-out", path}); err != nil {
+			t.Fatalf("sweep -fleet: %v", err)
+		}
+		m, err := telemetry.LoadManifest(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.ConfigHash
+	}
+	if a, b := hash("a"), hash("b"); a != b {
+		t.Fatalf("one fleet sweep into two stores hashed %s and %s", a, b)
+	}
+}
+
 func TestRunManifestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "m.json")

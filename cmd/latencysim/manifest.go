@@ -26,6 +26,12 @@ type mrun struct {
 	m       *telemetry.RunManifest
 }
 
+// outputOnlyFlags names the flags of run, sweep, exp, verify and twin that
+// choose where outputs go or how progress is shown, never what runs. The
+// manifest's config hash leaves them out, so one configuration written to
+// two paths keeps one hash.
+var outputOnlyFlags = []string{"manifest-out", "live", "trace-out", "profile", "fleet-out"}
+
 // manifestFlags registers the shared -manifest-out / -live flags.
 func manifestFlags(fs *flag.FlagSet) (manifestOut *string, live *bool) {
 	manifestOut = fs.String("manifest-out", "",
@@ -36,8 +42,8 @@ func manifestFlags(fs *flag.FlagSet) (manifestOut *string, live *bool) {
 }
 
 // startMRun begins manifest/live capture for one command invocation. fs is
-// the command's parsed flag set, whose resolved values are hashed into the
-// config identity. Returns nil — a no-op — when neither flag was given.
+// the command's parsed flag set, whose resolved values (output-only flags
+// aside) are hashed into the config identity. Returns nil — a no-op — when neither flag was given.
 func startMRun(command string, fs *flag.FlagSet, manifestOut string, live bool) *mrun {
 	if manifestOut == "" && !live {
 		return nil
@@ -52,7 +58,7 @@ func startMRun(command string, fs *flag.FlagSet, manifestOut string, live bool) 
 		m: &telemetry.RunManifest{
 			Schema:     telemetry.ManifestSchema,
 			Command:    command,
-			ConfigHash: telemetry.ConfigHash(command, fs),
+			ConfigHash: telemetry.ConfigHash(command, fs, outputOnlyFlags...),
 			StartedAt:  time.Now().UTC().Format(time.RFC3339),
 		},
 	}

@@ -115,20 +115,20 @@ type RunManifest struct {
 	Twin        []TwinFamily   `json:"twin,omitempty"`
 }
 
-// outputOnlyFlags names the flags that choose where a run's outputs go or
-// how its progress is shown, never what runs. ConfigHash leaves them out.
-var outputOnlyFlags = map[string]bool{
-	"manifest-out": true, "trace-out": true, "profile": true, "live": true,
-}
-
 // ConfigHash hashes a command's resolved configuration into a stable
 // identifier, so result stores can key on "same configuration" without
 // parsing flags. It hashes the command, then every flag of the parsed set
-// as name=value in name order — defaults included, output-only flags
+// as name=value in name order — defaults included, the flags named in skip
 // excluded — then the positional arguments. Flag order, spelling
-// (-n 256 vs -n=256), output paths and whether a default was given
-// explicitly do not change the hash; any change to a resolved value does.
-func ConfigHash(command string, fs *flag.FlagSet) string {
+// (-n 256 vs -n=256) and whether a default was given explicitly do not
+// change the hash; any change to a resolved, unskipped value does. Callers
+// skip the flags that choose where outputs go or how progress is shown,
+// never what runs.
+func ConfigHash(command string, fs *flag.FlagSet, skip ...string) string {
+	skipped := make(map[string]bool, len(skip))
+	for _, name := range skip {
+		skipped[name] = true
+	}
 	h := fnv.New64a()
 	field := func(s string) {
 		h.Write([]byte(s))
@@ -136,7 +136,7 @@ func ConfigHash(command string, fs *flag.FlagSet) string {
 	}
 	field(command)
 	fs.VisitAll(func(f *flag.Flag) {
-		if !outputOnlyFlags[f.Name] {
+		if !skipped[f.Name] {
 			field(f.Name + "=" + f.Value.String())
 		}
 	})

@@ -303,7 +303,7 @@ func hashArgs(t *testing.T, args ...string) string {
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	return ConfigHash("run", fs)
+	return ConfigHash("run", fs, "manifest-out", "trace-out", "profile", "live")
 }
 
 func TestConfigHashStable(t *testing.T) {
@@ -319,6 +319,9 @@ func TestConfigHashStable(t *testing.T) {
 	}
 	if a == hashArgs(t, "-n", "256", "extra") {
 		t.Error("hash ignores positional arguments")
+	}
+	if hashArgs(t, "ab", "c") == hashArgs(t, "a", "bc") {
+		t.Error("fields are not separated")
 	}
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	if ConfigHash("run", fs) == ConfigHash("sweep", fs) {
@@ -342,7 +345,7 @@ func TestConfigHashFlagOrderInvariant(t *testing.T) {
 	}
 }
 
-// Output-only flags say where results go, not what runs.
+// Skipped flags say where results go, not what runs.
 func TestConfigHashOutputPathInvariant(t *testing.T) {
 	want := hashArgs(t, "-n", "128")
 	for _, args := range [][]string{
@@ -353,6 +356,9 @@ func TestConfigHashOutputPathInvariant(t *testing.T) {
 		if got := hashArgs(t, args...); got != want {
 			t.Errorf("%q hashes %s, want %s", args, got, want)
 		}
+	}
+	if hashArgs(t, "-n", "128", "-manifest-out", "a.json") == hashArgs(t, "-n", "128", "-manifest-out", "a.json", "-check") {
+		t.Error("a skipped flag hides the flags after it")
 	}
 }
 
