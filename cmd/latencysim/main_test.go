@@ -39,6 +39,61 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
+// captureStdout runs fn with os.Stdout redirected to a pipe and returns
+// everything it printed; the run subcommand writes straight to stdout.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := os.Stdout
+	os.Stdout = w
+	got := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		got <- string(b)
+	}()
+	ferr := fn()
+	os.Stdout = old
+	w.Close()
+	out := <-got
+	r.Close()
+	if ferr != nil {
+		t.Fatal(ferr)
+	}
+	return out
+}
+
+// traceSection cuts the utilization timeline (its header and two sparklines)
+// out of run's output.
+func traceSection(t *testing.T, out string) string {
+	t.Helper()
+	i := strings.Index(out, "trace (window")
+	if i < 0 {
+		t.Fatalf("no trace section in:\n%s", out)
+	}
+	lines := strings.SplitAfterN(out[i:], "\n", 4)
+	if len(lines) < 3 {
+		t.Fatalf("truncated trace section:\n%s", out[i:])
+	}
+	return strings.Join(lines[:3], "")
+}
+
+// run -trace's timeline is deterministic. The sequential run's whole output
+// is pinned; the parallel run prints a chunk table of wall-clock figures
+// beside it, so only its trace section is pinned.
+func TestRunTraceGolden(t *testing.T) {
+	seq := captureStdout(t, func() error {
+		return cmdRun([]string{"-host", "line", "-n", "48", "-steps", "8", "-variant", "loadone", "-trace"})
+	})
+	checkGolden(t, "run_trace", seq)
+	par := captureStdout(t, func() error {
+		return cmdRun([]string{"-host", "random", "-n", "64", "-steps", "40", "-variant", "loadone", "-bw", "1", "-workers", "4", "-trace"})
+	})
+	checkGolden(t, "run_trace_workers4", traceSection(t, par))
+}
+
 func TestParseVariant(t *testing.T) {
 	good := map[string]string{
 		"loadone": "load-one", "load-one": "load-one", "load1": "load-one",
