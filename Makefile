@@ -153,8 +153,8 @@ bench-all:
 
 # Regenerate the full paper reproduction record (see EXPERIMENTS.md).
 experiments:
-	$(GO) run ./cmd/experiments -scale full -o EXPERIMENTS-data.md
-	$(GO) run ./cmd/experiments -scale full -csvdir experiments-csv
+	$(GO) run ./cmd/latencysim exp -scale full -md -o EXPERIMENTS-data.md
+	$(GO) run ./cmd/latencysim exp -scale full -csvdir experiments-csv
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -12,7 +12,7 @@
 //	latencysim plan   -host @host.json
 //	latencysim lower  -host h2 -n 1024 [-path]
 //	latencysim verify -seed 1 -n 200
-//	latencysim exp    [-scale full] [-md] [-only E3]
+//	latencysim exp    [-scale full] [-md] [-only E3] [-o data.md] [-csvdir dir] [-j N]
 package main
 
 import (
@@ -301,7 +301,7 @@ func cmdRun(args []string) error {
 	workers := fs.Int("workers", 0, "parallel engine chunks (0 = sequential)")
 	check := fs.Bool("check", false, "verify replica digests against the reference executor")
 	seed := fs.Int64("guestseed", 7, "guest computation seed")
-	trace := fs.Bool("trace", false, "print a utilization timeline")
+	trace := fs.Bool("trace", false, "print a utilization timeline from the run's event stream")
 	traceOut := fs.String("trace-out", "", "write a Chrome trace-event JSON of the run to this file")
 	profile := fs.String("profile", "", "write a CPU pprof profile of the run to this file")
 	faults := fs.String("faults", "", "deterministic fault plan, e.g. '7:outage=0.1x8;crash=3@40' (see DESIGN.md)")
@@ -337,19 +337,20 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
+	reg := mr.registry()
+	if reg == nil && *workers > 1 {
+		// The chunk table reads the engine's per-chunk telemetry shards.
+		reg = telemetry.NewRegistry()
+	}
 	opts := overlap.Options{
 		Variant: v, Steps: *steps, Beta: *beta, Seed: *seed,
 		Bandwidth: *bw, Workers: *workers, Check: *check, Faults: plan,
-		Adapt: pol, Telemetry: mr.registry(),
-	}
-	if *trace {
-		// Collect the timeline during the one and only run; printTrace
-		// coarsens it to a sparkline afterwards.
-		opts.TraceWindow = 8
+		Adapt: pol, Telemetry: reg,
 	}
 	var rec *obs.Buffer
-	if *traceOut != "" || mr.active() {
-		// The manifest's stall tiling needs the event stream too.
+	if *trace || *traceOut != "" || mr.active() {
+		// The timeline, the Chrome trace and the manifest's stall tiling
+		// all read the event stream.
 		rec = obs.NewBuffer()
 		opts.Recorder = rec
 	}
@@ -400,15 +401,14 @@ func cmdRun(args []string) error {
 	if out.Sim.Checked {
 		fmt.Println("check: all database replicas match the sequential reference executor")
 	}
-	if len(out.Sim.Chunks) > 0 {
-		obs.ChunkTable(out.Sim.Chunks).Fprint(os.Stdout)
+	chunks := reg.ShardSnapshots()
+	if len(chunks) > 1 {
+		chunkTable(chunks).Fprint(os.Stdout)
 	}
 	if *trace {
-		if err := printTrace(out); err != nil {
-			return err
-		}
+		printTrace(rec.Events(), out.LiveProcs)
 	}
-	if rec != nil {
+	if *traceOut != "" || mr.active() {
 		a := obs.Analyze(rec.Events(), *out.ObsInfo)
 		if *traceOut != "" {
 			if err := obs.WriteChromeTraceFile(*traceOut, rec.Events(), a.StallSpans(), *out.ObsInfo); err != nil {
@@ -428,7 +428,7 @@ func cmdRun(args []string) error {
 	if mr != nil {
 		mr.m.Scenario = fmt.Sprintf("%s variant=%s steps=%d", g, out.Variant, *steps)
 		mr.m.Engine = "sequential"
-		if len(out.Sim.Chunks) > 1 {
+		if len(chunks) > 1 {
 			mr.m.Engine = "parallel"
 		}
 		mr.m.Workers = *workers
@@ -440,49 +440,39 @@ func cmdRun(args []string) error {
 	return mr.finish()
 }
 
-// coarsen sums groups of k adjacent counters.
-func coarsen(xs []int64, k int) []int64 {
-	if k <= 1 {
-		return xs
-	}
-	out := make([]int64, 0, (len(xs)+k-1)/k)
-	for i, x := range xs {
-		if i%k == 0 {
-			out = append(out, 0)
-		}
-		out[len(out)-1] += x
-	}
-	return out
-}
-
 // printTrace renders compute-utilization and traffic sparklines from the
-// timeline the run already collected, coarsened to at most 60 buckets.
-func printTrace(out *overlap.Outcome) error {
-	tr := out.Sim.Trace
-	if tr == nil {
-		return fmt.Errorf("run collected no trace")
-	}
-	k := (len(tr.Computes) + 59) / 60
-	if k < 1 {
-		k = 1
-	}
-	computes := coarsen(tr.Computes, k)
-	bucket := k * tr.Window
-	util := make([]float64, len(computes))
-	if den := float64(out.LiveProcs * bucket); den > 0 {
-		for i, c := range computes {
-			util[i] = float64(c) / den
+// run's compute and inject events, binned by host step into at most 60
+// buckets of a multiple of 8 steps.
+func printTrace(events []obs.Event, liveProcs int) {
+	var last int64
+	for _, e := range events {
+		if (e.Kind == obs.KindCompute || e.Kind == obs.KindInject) && e.Step > last {
+			last = e.Step
 		}
 	}
-	fmt.Printf("trace (window = %d host steps):\n", bucket)
-	fmt.Printf("  compute utilization  %s\n", spark(util))
-	hopsC := coarsen(tr.Hops, k)
-	hops := make([]float64, len(hopsC))
+	windows := int((last + 7) / 8) // 8-step windows up to the last event
+	k := max(1, (windows+59)/60)
+	bucket := int64(8 * k)
+	n := (windows + k - 1) / k
+	util := make([]float64, n)
+	hops := make([]float64, n)
+	for _, e := range events {
+		switch e.Kind {
+		case obs.KindCompute:
+			util[(e.Step-1)/bucket]++
+		case obs.KindInject:
+			hops[(e.Step-1)/bucket]++
+		}
+	}
+	if den := float64(liveProcs) * float64(bucket); den > 0 {
+		for i := range util {
+			util[i] /= den
+		}
+	}
 	var hmax float64
-	for i, h := range hopsC {
-		hops[i] = float64(h)
-		if hops[i] > hmax {
-			hmax = hops[i]
+	for _, h := range hops {
+		if h > hmax {
+			hmax = h
 		}
 	}
 	if hmax > 0 {
@@ -490,8 +480,40 @@ func printTrace(out *overlap.Outcome) error {
 			hops[i] /= hmax
 		}
 	}
+	fmt.Printf("trace (window = %d host steps):\n", bucket)
+	fmt.Printf("  compute utilization  %s\n", spark(util))
 	fmt.Printf("  link traffic (rel.)  %s\n", spark(hops))
-	return nil
+}
+
+// chunkTable renders the parallel engine's per-chunk telemetry shards,
+// labelled "chunk[lo,hi)", with per-flush batching factor and blocked
+// share so straggler chunks stand out. These are wall-clock mechanics and
+// vary run to run.
+func chunkTable(shards []telemetry.ShardSnapshot) *metrics.Table {
+	t := metrics.NewTable("parallel chunks (engine telemetry)",
+		"chunk", "hosts", "pebbles", "flushes", "msgs/flush", "blocked", "blocked_ms")
+	var pebbles, flushes, msgs int64
+	for i, s := range shards {
+		var lo, hi int
+		fmt.Sscanf(s.Label, "chunk[%d,%d)", &lo, &hi)
+		p, f, m := s.Counter("pebbles_computed"), s.Counter("boundary_flushes"), s.Counter("boundary_msgs")
+		perFlush := 0.0
+		if f > 0 {
+			perFlush = float64(m) / float64(f)
+		}
+		t.AddRow(i, fmt.Sprintf("%d-%d", lo, hi), p, f, perFlush, s.Counter("worker_parks"),
+			float64(s.Counter("worker_blocked_ns")/1000)/1000)
+		pebbles += p
+		flushes += f
+		msgs += m
+	}
+	if flushes > 0 {
+		t.AddNote("%d pebbles across %d chunks; %d boundary messages coalesced into %d updates (%.1f msgs/update)",
+			pebbles, len(shards), msgs, flushes, float64(msgs)/float64(flushes))
+	} else {
+		t.AddNote("%d pebbles across %d chunks; no boundary batches shipped", pebbles, len(shards))
+	}
+	return t
 }
 
 // cmdTrace runs one simulation with full observability: it records the
@@ -708,6 +730,9 @@ func cmdExp(args []string) error {
 	scaleStr := fs.String("scale", "quick", "experiment scale: quick|full")
 	md := fs.Bool("md", false, "emit markdown tables")
 	only := fs.String("only", "", "run a single experiment, e.g. E3")
+	outPath := fs.String("o", "", "write the tables to this file, under a title, instead of stdout")
+	csvDir := fs.String("csvdir", "", "write each table as CSV into this directory instead of printing it")
+	jobs := fs.Int("j", 0, "experiments to run concurrently (0 = GOMAXPROCS, 1 = sequential)")
 	manifestOut, liveFlag := manifestFlags(fs)
 	fs.Parse(args)
 
@@ -715,31 +740,65 @@ func cmdExp(args []string) error {
 	if err != nil {
 		return err
 	}
-	mr := startMRun("exp", fs, *manifestOut, *liveFlag)
-	mr.startSampling()
+	exps := expt.All()
 	if *only != "" {
 		e := expt.Get(strings.ToUpper(*only))
 		if e == nil {
 			return fmt.Errorf("unknown experiment %q", *only)
 		}
-		fmt.Printf("=== %s: %s (%s) ===\n\n", e.ID, e.Title, e.Paper)
-		start := time.Now()
-		tables, err := e.Run(scale)
-		wall := time.Since(start)
+		exps = []*expt.Experiment{e}
+	}
+	out := io.Writer(os.Stdout)
+	if *outPath != "" {
+		f, err := os.Create(*outPath)
 		if err != nil {
 			return err
 		}
-		for _, t := range tables {
-			if *md {
-				t.Markdown(os.Stdout)
+		defer f.Close()
+		out = f
+		fmt.Fprintf(f, "# Experiment data (%s scale)\n", *scaleStr)
+		fmt.Fprintln(f, "\nGenerated by `latencysim exp`. See DESIGN.md for the per-experiment index")
+		fmt.Fprintln(f, "and EXPERIMENTS.md for the paper-vs-measured discussion.")
+	}
+	mr := startMRun("exp", fs, *manifestOut, *liveFlag)
+	mr.startSampling()
+	if *only != "" || *csvDir != "" {
+		if *csvDir != "" {
+			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+				return err
+			}
+		}
+		for _, e := range exps {
+			start := time.Now()
+			tables, err := e.Run(scale)
+			wall := time.Since(start)
+			if err != nil {
+				return fmt.Errorf("%s: %w", e.ID, err)
+			}
+			if *csvDir != "" {
+				if err := writeCSVs(out, *csvDir, e.ID, tables); err != nil {
+					return err
+				}
 			} else {
-				t.Fprint(os.Stdout)
-				fmt.Println()
+				fmt.Fprintf(out, "=== %s: %s (%s) ===\n\n", e.ID, e.Title, e.Paper)
+				for _, t := range tables {
+					if *md {
+						t.Markdown(out)
+					} else {
+						t.Fprint(out)
+						fmt.Fprintln(out)
+					}
+				}
+			}
+			if mr != nil {
+				mr.m.Experiments = append(mr.m.Experiments, telemetry.ExpTiming{ID: e.ID, WallSeconds: wall.Seconds()})
 			}
 		}
 		if mr != nil {
-			mr.m.Scenario = fmt.Sprintf("experiment %s scale=%s", e.ID, *scaleStr)
-			mr.m.Experiments = []telemetry.ExpTiming{{ID: e.ID, WallSeconds: wall.Seconds()}}
+			mr.m.Scenario = fmt.Sprintf("experiment %s scale=%s", exps[0].ID, *scaleStr)
+			if len(exps) > 1 {
+				mr.m.Scenario = fmt.Sprintf("all experiments scale=%s", *scaleStr)
+			}
 		}
 		return mr.finish()
 	}
@@ -754,18 +813,18 @@ func cmdExp(args []string) error {
 	})
 	// Render into a buffer while the live line owns the terminal; flush after.
 	var buf bytes.Buffer
-	out := io.Writer(os.Stdout)
+	dst := out
 	if mr != nil && mr.live != nil {
-		out = &buf
+		dst = &buf
 	}
-	timings, runErr := expt.RunAllTimed(out, scale, *md, 0, func(done, total int, id string) {
+	timings, runErr := expt.RunAllTimed(dst, scale, *md, *jobs, func(done, total int, id string) {
 		status.Lock()
 		status.line = fmt.Sprintf("exp: %d/%d done (last %s)", done, total, id)
 		status.Unlock()
 	})
 	mr.stopLive()
 	if buf.Len() > 0 {
-		os.Stdout.Write(buf.Bytes())
+		out.Write(buf.Bytes())
 	}
 	if runErr != nil {
 		return runErr
@@ -778,4 +837,20 @@ func cmdExp(args []string) error {
 		}
 	}
 	return mr.finish()
+}
+
+// writeCSVs writes an experiment's tables into dir as <ID>.csv, or
+// <ID>-1.csv, <ID>-2.csv, ... when it has several, naming each on log.
+func writeCSVs(log io.Writer, dir, id string, tables []*metrics.Table) error {
+	for i, t := range tables {
+		name := id + ".csv"
+		if len(tables) > 1 {
+			name = fmt.Sprintf("%s-%d.csv", id, i+1)
+		}
+		if err := t.CSVFile(filepath.Join(dir, name)); err != nil {
+			return err
+		}
+		fmt.Fprintf(log, "wrote %s\n", name)
+	}
+	return nil
 }

@@ -285,19 +285,68 @@ func TestTraceSubcommand(t *testing.T) {
 	}
 }
 
-func TestCoarsen(t *testing.T) {
-	got := coarsen([]int64{1, 2, 3, 4, 5}, 2)
-	want := []int64{3, 7, 5}
-	if len(got) != len(want) {
-		t.Fatalf("coarsen %v", got)
+// chunkTable's layout is a contract with everything that scrapes latencysim
+// output, so the rendering of a fixed shard set is pinned exactly. Shards
+// are hand-built: a table from a live run would leak wall-clock fields
+// (blocked_ms) into the golden.
+func TestChunkTableGolden(t *testing.T) {
+	shard := func(label string, pebbles, flushes, msgs, parks, blockedNs int64) telemetry.ShardSnapshot {
+		return telemetry.ShardSnapshot{Label: label, Snapshot: &telemetry.Snapshot{Counters: map[string]int64{
+			"pebbles_computed": pebbles, "boundary_flushes": flushes, "boundary_msgs": msgs,
+			"worker_parks": parks, "worker_blocked_ns": blockedNs,
+		}}}
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("coarsen %v want %v", got, want)
-		}
+	var buf strings.Builder
+	chunkTable([]telemetry.ShardSnapshot{
+		shard("chunk[0,512)", 1000, 8, 24, 3, 1500000),
+		shard("chunk[512,1024)", 2000, 10, 10, 0, 0),
+	}).Fprint(&buf)
+	want := strings.Join([]string{
+		"## parallel chunks (engine telemetry)",
+		"chunk  hosts     pebbles  flushes  msgs/flush  blocked  blocked_ms",
+		"-----  --------  -------  -------  ----------  -------  ----------",
+		"0      0-512     1000     8        3.000       3        1.500",
+		"1      512-1024  2000     10       1.000       0        0",
+		"note: 3000 pebbles across 2 chunks; 34 boundary messages coalesced into 18 updates (1.9 msgs/update)",
+		"",
+	}, "\n")
+	if got := buf.String(); got != want {
+		t.Fatalf("chunk table changed:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
-	if out := coarsen([]int64{1, 2}, 1); len(out) != 2 {
-		t.Fatalf("k=1 should be identity, got %v", out)
+
+	// No flushes: the note must not divide by zero.
+	buf.Reset()
+	chunkTable([]telemetry.ShardSnapshot{shard("chunk[0,4)", 5, 0, 0, 0, 0)}).Fprint(&buf)
+	if !strings.Contains(buf.String(), "no boundary batches shipped") {
+		t.Fatalf("flushless note wrong:\n%s", buf.String())
+	}
+}
+
+// exp -csvdir writes each of the experiment's tables as a CSV file, and -o
+// writes them to a file.
+func TestExpCSVDir(t *testing.T) {
+	dir := t.TempDir()
+	out := captureStdout(t, func() error {
+		return cmdExp([]string{"-only", "E10", "-csvdir", dir})
+	})
+	raw, err := os.ReadFile(filepath.Join(dir, "E10.csv"))
+	if err != nil {
+		t.Fatalf("exp -csvdir: %v (output %q)", err, out)
+	}
+	if lines := strings.Split(strings.TrimSpace(string(raw)), "\n"); len(lines) < 2 || !strings.Contains(lines[0], ",") {
+		t.Fatalf("E10.csv is not a CSV table:\n%s", raw)
+	}
+	if !strings.Contains(out, "wrote E10.csv") {
+		t.Fatalf("exp -csvdir did not report the file: %q", out)
+	}
+	// -o writes the rendered tables under a title instead of stdout.
+	md := filepath.Join(dir, "data.md")
+	if err := cmdExp([]string{"-only", "E10", "-md", "-o", md}); err != nil {
+		t.Fatal(err)
+	}
+	if raw, err := os.ReadFile(md); err != nil || !strings.HasPrefix(string(raw), "# Experiment data (quick scale)") ||
+		!strings.Contains(string(raw), "=== E10:") {
+		t.Fatalf("exp -o wrote %q, %v", raw, err)
 	}
 }
 

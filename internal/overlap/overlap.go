@@ -74,14 +74,13 @@ type Options struct {
 	Steps int
 	// Seed drives all guest state.
 	Seed int64
-	// Bandwidth, ComputePerStep, Workers, Check, MaxSteps, TraceWindow and
-	// Recorder pass through to the engine.
+	// Bandwidth, ComputePerStep, Workers, Check, MaxSteps and Recorder
+	// pass through to the engine.
 	Bandwidth      int
 	ComputePerStep int
 	Workers        int
 	Check          bool
 	MaxSteps       int64
-	TraceWindow    int
 	Recorder       obs.Recorder
 	// Faults passes a deterministic fault plan through to the engine
 	// (internal/fault); nil is a true no-op.
@@ -282,7 +281,6 @@ func SimulateLine(delays []int, opt Options) (*Outcome, error) {
 		Workers:        opt.Workers,
 		Check:          opt.Check,
 		MaxSteps:       opt.MaxSteps,
-		TraceWindow:    opt.TraceWindow,
 		Recorder:       opt.Recorder,
 		Faults:         opt.Faults,
 		Adapt:          opt.Adapt,

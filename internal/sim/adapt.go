@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -110,14 +111,7 @@ func (a *adaptState) harvest(c *chunk, boundary int64, cands []adapt.Candidate) 
 		if p.crashed {
 			continue
 		}
-		hasDormant := false
-		for i := range p.cols {
-			if p.cols[i].dormant {
-				hasDormant = true
-				break
-			}
-		}
-		if !hasDormant {
+		if !slices.ContainsFunc(p.cols, func(oc ownedCol) bool { return oc.dormant }) {
 			continue
 		}
 		// blame per dependency column: the closed spans recorded in
@@ -203,7 +197,7 @@ func (a *adaptState) faultCtx(cfg *Config, host, col int, lo, hi int64) bool {
 	jit := plan.JitterLinks(links)
 	spk := plan.SpikeLinks(links)
 	for l := loL; l < hiL; l++ {
-		if containsInt(jit, l) || containsInt(spk, l) {
+		if slices.Contains(jit, l) || slices.Contains(spk, l) {
 			return true
 		}
 		for _, iv := range plan.OutageIntervals(l, hi) {
@@ -220,18 +214,6 @@ func absInt(x int) int {
 		return -x
 	}
 	return x
-}
-
-func containsInt(sorted []int, x int) bool {
-	for _, v := range sorted {
-		if v == x {
-			return true
-		}
-		if v > x {
-			return false
-		}
-	}
-	return false
 }
 
 // activate flips one standby replica live, effective at d.Step: ready at
@@ -345,19 +327,7 @@ func (g *epochGate) terminal(global *int64) bool {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for _, c := range g.chunks {
-		if !c.quiescent() {
-			return false
-		}
-	}
-	for _, wk := range g.workers {
-		for _, s := range []*side{wk.left, wk.right} {
-			if s != nil && !s.in.empty() {
-				return false
-			}
-		}
-	}
-	return true
+	return settled(g.workers)
 }
 
 // drainBarrier drains w's inbound rings while w waits at the barrier. The

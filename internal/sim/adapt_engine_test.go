@@ -38,7 +38,7 @@ func runEngines(t *testing.T, cfg Config, label string) *Result {
 		if err != nil {
 			t.Fatalf("%s workers %d: %v", label, workers, err)
 		}
-		if !reflect.DeepEqual(seqRes, stripGauges(parRes)) {
+		if !reflect.DeepEqual(seqRes, parRes) {
 			t.Fatalf("%s workers %d: results differ:\nseq %+v\npar %+v",
 				label, workers, seqRes, parRes)
 		}

@@ -244,11 +244,6 @@ type chunk struct {
 	// stats
 	messages, hops, delivered, duplicates int64
 
-	// trace accumulation (Config.TraceWindow > 0)
-	traceWindow   int
-	traceComputes []int64
-	traceHops     []int64
-
 	// deliverTap, when non-nil (tests only), observes every counted
 	// delivery; a single nil check on the hot path.
 	deliverTap func(pos int, col, step int32, value uint64)
@@ -275,12 +270,11 @@ func newChunk(cfg *Config, rt *routeTable, lo, hi int) *chunk {
 	n := cfg.hostN()
 	c := &chunk{
 		cfg: cfg, rt: rt, lo: lo, hi: hi, hostN: n,
-		T:           int32(cfg.Guest.Steps),
-		cps:         cfg.computePerStep(),
-		now:         1,
-		txFlag:      make([]bool, 2*n),
-		traceWindow: cfg.TraceWindow,
-		adaptOn:     cfg.ast != nil,
+		T:       int32(cfg.Guest.Steps),
+		cps:     cfg.computePerStep(),
+		now:     1,
+		txFlag:  make([]bool, 2*n),
+		adaptOn: cfg.ast != nil,
 	}
 	if cfg.Recorder != nil {
 		c.buf = obs.NewBuffer()
@@ -380,16 +374,8 @@ func newChunk(cfg *Config, rt *routeTable, lo, hi int) *chunk {
 	c.left = make([]*dlink, hi-lo)
 	presize := func(l *dlink, cross int32) *dlink {
 		if cross > 0 {
-			q := int(cross)
-			if q > 64 {
-				q = 64
-			}
-			l.queue = make([]msg, 0, q)
-			inf := 2 * int(cross)
-			if inf > 128 {
-				inf = 128
-			}
-			l.inflight = make([]timedMsg, 0, inf)
+			l.queue = make([]msg, 0, min(int(cross), 64))
+			l.inflight = make([]timedMsg, 0, min(2*int(cross), 128))
 		}
 		return l
 	}
@@ -405,15 +391,15 @@ func newChunk(cfg *Config, rt *routeTable, lo, hi int) *chunk {
 	// crossing traffic so windowed coalescing appends without reallocating.
 	if lo > 0 {
 		if cross := rt.crossAt(rt.crossL, lo-1); cross > 0 {
-			c.outLeft = make([]timedMsg, 0, minInt(4*int(cross), 256))
+			c.outLeft = make([]timedMsg, 0, min(4*int(cross), 256))
 		}
 	}
 	if hi < n {
 		if cross := rt.crossAt(rt.crossR, hi-1); cross > 0 {
-			c.outRight = make([]timedMsg, 0, minInt(4*int(cross), 256))
+			c.outRight = make([]timedMsg, 0, min(4*int(cross), 256))
 		}
 	}
-	c.cal.presizeScratch(minInt(2*(hi-lo), 64))
+	c.cal.presizeScratch(min(2*(hi-lo), 64))
 	if cfg.Faults != nil {
 		c.initFaults(cfg.Faults)
 	}
@@ -430,26 +416,21 @@ func (rt *routeTable) crossAt(arr []int32, link int) int32 {
 	return arr[link]
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func (c *chunk) proc(pos int) *proc { return &c.procs[pos-c.lo] }
 
-// linkCode encodes a directed link owned by this chunk for the txActive set.
-func linkCode(pos int, leftward bool) int32 {
+// sideKey encodes a position and one of its two sides as pos*2 + side. It
+// names a directed link in the txActive set (side: leftward) and a delivery
+// in the calendar (side: from the right), so both sort by position first.
+func sideKey(pos int, second bool) int32 {
 	v := int32(pos) * 2
-	if leftward {
+	if second {
 		v++
 	}
 	return v
 }
 
 func (c *chunk) markTx(pos int, leftward bool) {
-	code := linkCode(pos, leftward)
+	code := sideKey(pos, leftward)
 	if !c.txFlag[code] {
 		c.txFlag[code] = true
 		c.txActive = append(c.txActive, code)
@@ -606,9 +587,6 @@ func (c *chunk) computeOne(p *proc) bool {
 	p.remaining--
 	c.remaining--
 	c.lastComputeStep = c.now
-	if c.traceWindow > 0 {
-		c.traceAdd(&c.traceComputes, 1)
-	}
 	if c.buf != nil {
 		c.buf.RecordCompute(c.now, p.pos, oc.col, t)
 	}
@@ -780,9 +758,6 @@ func (c *chunk) runTransmit() bool {
 				arrive += int64(c.faults.ExtraDelay(link, leftward, c.now, i))
 			}
 			c.hops++
-			if c.traceWindow > 0 {
-				c.traceAdd(&c.traceHops, 1)
-			}
 			if c.buf != nil {
 				link := int32(pos)
 				dir := int8(1)
@@ -801,10 +776,10 @@ func (c *chunk) runTransmit() bool {
 				c.outRight = append(c.outRight, timedMsg{arrive: arrive, m: m})
 			case leftward:
 				l.pushInflight(timedMsg{arrive: arrive, m: m})
-				c.cal.schedule(c.now, arrive, linkDeliveryKey(pos-1, true))
+				c.cal.schedule(c.now, arrive, sideKey(pos-1, true))
 			default:
 				l.pushInflight(timedMsg{arrive: arrive, m: m})
-				c.cal.schedule(c.now, arrive, linkDeliveryKey(pos+1, false))
+				c.cal.schedule(c.now, arrive, sideKey(pos+1, false))
 			}
 		}
 		if l.qlen() > 0 {
@@ -815,26 +790,6 @@ func (c *chunk) runTransmit() bool {
 	}
 	c.txSpare = cur[:0]
 	return did
-}
-
-// traceAdd accumulates a trace counter into the window containing the
-// current step.
-func (c *chunk) traceAdd(arr *[]int64, v int64) {
-	w := int((c.now - 1) / int64(c.traceWindow))
-	for len(*arr) <= w {
-		*arr = append(*arr, 0)
-	}
-	(*arr)[w] += v
-}
-
-// linkDeliveryKey encodes "delivery at position pos from the right/left" for
-// calendar ordering.
-func linkDeliveryKey(pos int, fromRight bool) int32 {
-	v := int32(pos) * 2
-	if fromRight {
-		v++
-	}
-	return v
 }
 
 // step executes one host step (deliver, compute, transmit) and reports
@@ -899,12 +854,12 @@ func (c *chunk) receiveBoundary(fromLeft bool, batch []timedMsg) {
 	if fromLeft {
 		for _, tm := range batch {
 			c.inLeft.pushInflight(tm)
-			c.cal.schedule(c.now, tm.arrive, linkDeliveryKey(c.lo, false))
+			c.cal.schedule(c.now, tm.arrive, sideKey(c.lo, false))
 		}
 	} else {
 		for _, tm := range batch {
 			c.inRight.pushInflight(tm)
-			c.cal.schedule(c.now, tm.arrive, linkDeliveryKey(c.hi-1, true))
+			c.cal.schedule(c.now, tm.arrive, sideKey(c.hi-1, true))
 		}
 	}
 }

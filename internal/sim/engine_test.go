@@ -136,6 +136,56 @@ func TestBandwidthSemantics(t *testing.T) {
 // TestLatencyChain pins the latency model on a relay path: a value crossing
 // k links of delay d arrives after k*d steps (store-and-forward relaying is
 // free).
+func TestMaxQueueDepth(t *testing.T) {
+	// the star burst from TestBandwidthSemantics: P pebbles queued on one
+	// link at once, drained at B per step -> peak depth >= P - B
+	p, b, d := 9, 2, 4
+	adj := make([][]int, p+1)
+	for i := 0; i < p; i++ {
+		adj[i] = []int{p}
+		adj[p] = append(adj[p], i)
+	}
+	a, err := assign.FromOwned(2, p+1, [][]int{seqInts(p), {p}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(Config{
+		Delays:         []int{d},
+		Guest:          guest.Spec{Graph: guest.NewCustom("star", adj), Steps: 2, Seed: 1},
+		Assign:         a,
+		Bandwidth:      b,
+		ComputePerStep: p + 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MaxQueueDepth < p-b {
+		t.Fatalf("peak queue %d, want >= %d", res.MaxQueueDepth, p-b)
+	}
+	// unconstrained bandwidth: queue drains every step
+	res2, err := Run(Config{
+		Delays:         []int{d},
+		Guest:          guest.Spec{Graph: guest.NewCustom("star", adj), Steps: 2, Seed: 1},
+		Assign:         a,
+		Bandwidth:      p + 1,
+		ComputePerStep: p + 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res2.MaxQueueDepth > p {
+		t.Fatalf("peak queue %d with ample bandwidth", res2.MaxQueueDepth)
+	}
+}
+
+func seqInts(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
 func TestLatencyChain(t *testing.T) {
 	// hosts 0..3; guest: two adjacent columns at the far ends
 	g := guest.NewLinearArray(2)
@@ -418,7 +468,7 @@ func TestSplitPositions(t *testing.T) {
 	}
 	delays[20] = 100
 	delays[40] = 100
-	cuts := splitPositions(delays, 3)
+	cuts := splitPositionsWork(delays, nil, 3)
 	if len(cuts) != 4 || cuts[0] != 0 || cuts[3] != 64 {
 		t.Fatalf("cuts %v", cuts)
 	}

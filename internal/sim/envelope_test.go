@@ -41,6 +41,30 @@ func TestEnvelopeBoundaries(t *testing.T) {
 	}
 }
 
+// The route table's sizes are checked the same way, right after the build:
+// each limit accepts its boundary value and rejects one past it.
+func TestRouteEnvelopeBoundaries(t *testing.T) {
+	for i, c := range []struct {
+		field string
+		limit int64
+	}{
+		{"route chain arena entries", math.MaxInt32},
+		{"columns", math.MaxInt32},
+	} {
+		at := [2]int64{2, 2}
+		at[i] = c.limit
+		if err := routeEnvelope(at[0], at[1]); err != nil {
+			t.Errorf("%s = %d rejected: %v", c.field, c.limit, err)
+		}
+		at[i] = c.limit + 1
+		err := routeEnvelope(at[0], at[1])
+		var env *EnvelopeError
+		if !errors.As(err, &env) || env.Field != c.field || env.Value != c.limit+1 || env.Limit != c.limit {
+			t.Errorf("%s = %d: got %v, want an EnvelopeError at limit %d", c.field, c.limit+1, err, c.limit)
+		}
+	}
+}
+
 // Validate applies the envelope to a whole configuration.
 func TestValidateRejectsStepsBeyondEnvelope(t *testing.T) {
 	a, err := assign.FromOwned(2, 2, [][]int{{0}, {1}})

@@ -15,18 +15,6 @@ import (
 // Both engines must produce bit-identical Results and obs event streams under
 // every fault kind; these tests sweep each kind separately and combined.
 
-// stripGauges copies a parallel result with its wall-clock chunk gauges
-// zeroed: gauges are engine-specific telemetry, deliberately outside the
-// bit-identity contract.
-func stripGauges(r *Result) *Result {
-	if r == nil || r.Chunks == nil {
-		return r
-	}
-	cp := *r
-	cp.Chunks = nil
-	return &cp
-}
-
 // runBoth runs cfg sequentially and with each worker count, asserting
 // bit-identical Result and event stream, and returns the sequential result.
 func runBoth(t *testing.T, cfg Config, label string) *Result {
@@ -47,7 +35,7 @@ func runBoth(t *testing.T, cfg Config, label string) *Result {
 		if err != nil {
 			t.Fatalf("%s workers %d: %v", label, workers, err)
 		}
-		if !reflect.DeepEqual(seqRes, stripGauges(parRes)) {
+		if !reflect.DeepEqual(seqRes, parRes) {
 			t.Fatalf("%s workers %d: results differ:\nseq %+v\npar %+v",
 				label, workers, seqRes, parRes)
 		}

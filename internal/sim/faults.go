@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"latencyhide/internal/fault"
 	"latencyhide/internal/obs"
@@ -65,12 +67,9 @@ func (c *chunk) initFaults(p *fault.Plan) {
 			c.crashQ = append(c.crashQ, crashEvent{step: s, pos: int32(pos)})
 		}
 	}
-	for i := 1; i < len(c.crashQ); i++ { // tiny list; keep it (step, pos)-sorted
-		for j := i; j > 0 && (c.crashQ[j-1].step > c.crashQ[j].step ||
-			(c.crashQ[j-1].step == c.crashQ[j].step && c.crashQ[j-1].pos > c.crashQ[j].pos)); j-- {
-			c.crashQ[j-1], c.crashQ[j] = c.crashQ[j], c.crashQ[j-1]
-		}
-	}
+	// Positions are appended ascending, so a stable sort by step leaves the
+	// queue (step, pos)-sorted.
+	slices.SortStableFunc(c.crashQ, func(a, b crashEvent) int { return cmp.Compare(a.step, b.step) })
 }
 
 // applyCrashes executes every crash-stop due at or before the current step:

@@ -244,7 +244,7 @@ func TestFuzzEnginesAgreeUnderRandomFaults(t *testing.T) {
 			t.Logf("seed %d: seq=%v par=%v", seed, seqErr, parErr)
 			return false
 		}
-		if !reflect.DeepEqual(seq, stripGauges(par)) {
+		if !reflect.DeepEqual(seq, par) {
 			t.Logf("seed %d: results differ:\nseq %+v\npar %+v", seed, seq, par)
 			return false
 		}

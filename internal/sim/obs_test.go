@@ -106,38 +106,3 @@ func TestEventStreamMatchesCounters(t *testing.T) {
 		t.Fatalf("last compute event at %d != host steps %d", lastStep, res.HostSteps)
 	}
 }
-
-func TestTraceUtilizationEdgeCases(t *testing.T) {
-	// Window far larger than the run: everything lands in one window.
-	a, _ := assign.SingleCopyBlocks(4, 8)
-	res, err := Run(Config{
-		Delays:      unitDelays(4),
-		Guest:       guest.Spec{Graph: guest.NewLinearArray(8), Steps: 3, Seed: 1},
-		Assign:      a,
-		TraceWindow: 100000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Trace == nil || len(res.Trace.Computes) != 1 {
-		t.Fatalf("trace %+v", res.Trace)
-	}
-	if res.Trace.Computes[0] != res.PebblesComputed {
-		t.Fatalf("window compute %d != total %d", res.Trace.Computes[0], res.PebblesComputed)
-	}
-	u := res.Trace.Utilization(4)
-	if len(u) != 1 || u[0] <= 0 || u[0] > 1 {
-		t.Fatalf("utilization %v", u)
-	}
-	// Zero processors must not divide by zero: all-zero output.
-	for _, v := range res.Trace.Utilization(0) {
-		if v != 0 {
-			t.Fatalf("zero-proc utilization %v", v)
-		}
-	}
-	// Zero-length trace (no computes recorded) stays well-formed.
-	empty := &Trace{Window: 8}
-	if got := empty.Utilization(4); len(got) != 0 {
-		t.Fatalf("empty trace utilization %v", got)
-	}
-}

@@ -9,9 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"latencyhide/internal/obs"
-	"latencyhide/internal/telemetry"
 )
 
 // The parallel engine (v2) is a conservative parallel discrete-event
@@ -42,6 +39,12 @@ import (
 //     channel guarded by an idle flag (store-idle, recheck, sleep on one
 //     side; publish, load-idle, signal on the other — the classic Dekker
 //     handshake, so wakeups are never lost under seq-cst atomics).
+//
+//   - A quiet gate for stall detection: a worker with nothing left to
+//     simulate waits in a shared gate instead of parking alone, and the
+//     arrival that fills the gate checks whether the whole run is stuck
+//     (see quietGate). The verdict depends only on simulation state, never
+//     on wall-clock time.
 //
 // Bit-identity with the sequential engine is preserved because coalescing
 // only delays *transport*, never reorders *simulation*: a batch held after a
@@ -84,8 +87,6 @@ type side struct {
 	peer      *worker
 
 	sentClock int64 // clock at the last batch flush
-	flushes   int64
-	sentMsgs  int64
 }
 
 type worker struct {
@@ -108,8 +109,9 @@ type worker struct {
 	gate  *epochGate
 	nextB int64
 
-	blockedAtHorizon int64
-	blockedFor       time.Duration
+	// quiet is the stall-detection gate of non-adaptive runs (nil when
+	// adaptive: the epoch gate and the step cap bound those).
+	quiet *quietGate
 }
 
 func (w *worker) setErr(e error) {
@@ -148,34 +150,25 @@ func (w *worker) wake() {
 // min over boundaries of the neighbor's promised clock plus the lookahead.
 func (w *worker) horizon() int64 {
 	h := int64(farFuture)
-	if w.left != nil {
-		if v := w.left.peerClock.Load() + w.left.delay; v < h {
-			h = v
-		}
-	}
-	if w.right != nil {
-		if v := w.right.peerClock.Load() + w.right.delay; v < h {
-			h = v
+	for _, s := range [2]*side{w.left, w.right} {
+		if s != nil {
+			h = min(h, s.peerClock.Load()+s.delay)
 		}
 	}
 	return h
 }
 
 // drainSide consumes every pending inbound batch without blocking and
-// returns the emptied slices to the neighbor's free ring for reuse. Reports
-// whether anything was received (the epoch gate's quiescence votes are
-// invalidated by post-vote arrivals).
-func (w *worker) drainSide(s *side) bool {
+// returns the emptied slices to the neighbor's free ring for reuse.
+func (w *worker) drainSide(s *side) {
 	if s == nil {
-		return false
+		return
 	}
-	got := false
 	for {
 		batch, ok := s.in.pop()
 		if !ok {
-			return got
+			return
 		}
-		got = true
 		w.c.receiveBoundary(s.fromLeft, batch)
 		if cap(batch) > 0 {
 			s.retire.push(batch[:0]) // best-effort; dropped when full
@@ -183,10 +176,9 @@ func (w *worker) drainSide(s *side) bool {
 	}
 }
 
-func (w *worker) drainAll() bool {
-	l := w.drainSide(w.left)
-	r := w.drainSide(w.right)
-	return l || r
+func (w *worker) drainAll() {
+	w.drainSide(w.left)
+	w.drainSide(w.right)
 }
 
 func (w *worker) pendingInput() bool {
@@ -221,8 +213,6 @@ func (w *worker) flushSide(s *side, force bool) bool {
 		s.peer.wake()
 		runtime.Gosched()
 	}
-	s.flushes++
-	s.sentMsgs += int64(len(batch))
 	s.sentClock = now
 	if tel := w.c.tel; tel != nil {
 		m := w.c.met
@@ -231,12 +221,20 @@ func (w *worker) flushSide(s *side, force bool) bool {
 		tel.Observe(m.batchSize, int64(len(batch)))
 		tel.SetMax(m.ringOccupancyPeak, int64(s.out.len()))
 	}
-	var repl []timedMsg
-	if r, ok := s.free.pop(); ok {
-		repl = r
-	}
-	*s.outbox = repl
+	*s.outbox, _ = s.free.pop() // nil when no recycled slice is free
 	s.peer.wake()
+	return true
+}
+
+// ship flushes both outboxes (every held message when force is set) and
+// publishes the clock each neighbor may now rely on. Returns false when the
+// run ended while a full ring held a flush back.
+func (w *worker) ship(force bool) bool {
+	if !w.flushSide(w.left, force) || !w.flushSide(w.right, force) {
+		return false
+	}
+	w.publish(w.left)
+	w.publish(w.right)
 	return true
 }
 
@@ -321,7 +319,7 @@ func (w *worker) loop(maxSteps int64) {
 			return
 		}
 		if w.isDone() {
-			return // quiescent termination, an error, or the watchdog fired
+			return // quiescent termination, a stall or another error
 		}
 		// Sample clocks before draining: any batch covering a clock we
 		// read was pushed before that clock was published, so the drain
@@ -337,26 +335,16 @@ func (w *worker) loop(maxSteps int64) {
 		w.drainAll()
 		w.recordClockLag()
 		if w.c.now < h {
-			if !w.runUntil(h, maxSteps) {
+			if !w.runUntil(h, maxSteps) || !w.ship(false) {
 				return
 			}
-			if !w.flushSide(w.left, false) || !w.flushSide(w.right, false) {
-				return
-			}
-			w.publish(w.left)
-			w.publish(w.right)
 			continue
 		}
 		if w.ast != nil && w.c.now == w.nextB+1 {
 			// At the epoch boundary with steps <= nextB fully simulated.
 			// Ship and promise everything first so neighbors still running
 			// toward the boundary can reach it, then synchronise.
-			if !w.flushSide(w.left, true) || !w.flushSide(w.right, true) {
-				return
-			}
-			w.publish(w.left)
-			w.publish(w.right)
-			if !w.epochBarrier() {
+			if !w.ship(true) || !w.epochBarrier() {
 				return
 			}
 			w.nextB += int64(w.ast.policy.Epoch)
@@ -365,52 +353,157 @@ func (w *worker) loop(maxSteps int64) {
 		// Blocked at the horizon: everything we hold is due — ship it,
 		// promise our current clock (the demand-driven null message), then
 		// park until a neighbor publishes or the run ends.
-		if !w.flushSide(w.left, true) || !w.flushSide(w.right, true) {
+		if !w.ship(true) {
 			return
 		}
-		w.publish(w.left)
-		w.publish(w.right)
+		if w.quiet != nil {
+			if _, ok := w.c.nextEvent(); !ok {
+				if !w.waitQuiet() {
+					return
+				}
+				continue
+			}
+		}
 		w.idle.Store(true)
 		if w.horizon() > w.c.now || w.pendingInput() || w.isDone() {
 			w.idle.Store(false)
 			if w.isDone() && atomic.LoadInt64(w.global) != 0 {
-				return // error or watchdog
+				return // a stall or another error
 			}
 			continue
 		}
-		w.blockedAtHorizon++
 		w.recordClockLag()
-		if tel := w.c.tel; tel != nil {
-			tel.Inc(w.c.met.workerParks)
-		}
-		start := time.Now()
-		select {
-		case <-w.notify:
-			if tel := w.c.tel; tel != nil {
-				tel.Inc(w.c.met.workerWakes)
-			}
-		case <-w.done:
-		}
+		woke := w.park()
 		w.idle.Store(false)
-		w.blockedFor += time.Since(start)
-		if w.isDone() {
-			return // global hit zero, an error surfaced, or the watchdog fired
+		if !woke {
+			return // global hit zero, or a stall or another error surfaced
 		}
 	}
 }
 
-// epochBarrier synchronises every worker at epoch boundary w.nextB. Each
-// worker votes on its chunk's quiescence as it arrives; the last arriver
-// first checks for global quiescence (all votes quiet, no pebbles left, no
-// batch in any boundary ring, no post-vote arrival) and terminates the run
+// park blocks until a neighbor's wake (true) or the end of the run (false),
+// counting the park and its wall time in telemetry. The caller has raised
+// the idle flag.
+func (w *worker) park() bool {
+	tel := w.c.tel
+	var start time.Time
+	if tel != nil {
+		tel.Inc(w.c.met.workerParks)
+		start = time.Now()
+	}
+	woke := true
+	select {
+	case <-w.notify:
+	case <-w.done:
+		woke = false
+	}
+	if tel != nil {
+		if woke {
+			tel.Inc(w.c.met.workerWakes)
+		}
+		tel.Add(w.c.met.workerBlockedNs, int64(time.Since(start)))
+	}
+	return woke
+}
+
+// waitQuiet holds a worker whose chunk has no next event in the quiet gate.
+// It returns true, after leaving the gate, once a neighbor's batch is
+// pending, and false when the run has ended. While held the worker still
+// answers its neighbors' clocks: with nothing to simulate, its clock may
+// jump to its horizon, exactly as runUntil would jump it. The horizon is
+// read before the rings are checked, so any batch arriving before that
+// horizon is already visible (its push preceded the clock it covers) and
+// keeps the clock where it is.
+func (w *worker) waitQuiet() bool {
+	if err := w.quiet.arrive(w.global); err != nil {
+		w.setErr(err)
+		return false
+	}
+	w.idle.Store(true)
+	defer w.idle.Store(false)
+	for {
+		h := w.horizon()
+		if w.pendingInput() {
+			w.quiet.leave()
+			return true
+		}
+		if h > w.c.now {
+			w.c.now = h
+			w.ship(true) // the outboxes are empty: this only publishes
+		}
+		if !w.park() {
+			return false
+		}
+	}
+}
+
+// quietGate detects a stalled non-adaptive run without a timer. A worker
+// enters it when its chunk has no next event and leaves it, under the same
+// mutex, only when a neighbor's batch is pending and before draining it, so
+// a worker inside never changes its chunk's event state or any ring; it
+// only moves its clock. The arrival that fills the gate scans every chunk
+// and ring under the mutex: all settled with pebbles left is a stall, since
+// no one is left outside to send a batch. Every stalled run ends that way,
+// because a clock-only wake does not make a worker leave. DESIGN.md §5
+// gives the full argument.
+type quietGate struct {
+	mu      sync.Mutex
+	in      int
+	workers []*worker
+}
+
+// arrive counts one worker into the gate. The arrival that fills it returns
+// the stall error when the run is stuck.
+func (g *quietGate) arrive(global *int64) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.in++
+	if g.in < len(g.workers) || atomic.LoadInt64(global) == 0 || !settled(g.workers) {
+		return nil
+	}
+	chunks := make([]*chunk, len(g.workers))
+	for i, wk := range g.workers {
+		chunks[i] = wk.c
+	}
+	return stallError("with every chunk quiet", chunks...)
+}
+
+// leave counts one worker out of the gate.
+func (g *quietGate) leave() {
+	g.mu.Lock()
+	g.in--
+	g.mu.Unlock()
+}
+
+// settled reports that no chunk can produce another event on its own and no
+// boundary ring holds a batch. Callers hold the gate mutex every worker
+// passes through before it next changes its chunk, which both orders the
+// workers' writes before this read and keeps the state fixed while it runs.
+func settled(workers []*worker) bool {
+	for _, wk := range workers {
+		if !wk.c.quiescent() {
+			return false
+		}
+		for _, s := range []*side{wk.left, wk.right} {
+			if s != nil && !s.in.empty() {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// epochBarrier synchronises every worker at epoch boundary w.nextB. The
+// last arriver first checks for global quiescence (no pebbles left, every
+// chunk quiescent, no batch in any boundary ring) and terminates the run
 // if so — the adaptive analogue of the sequential engine breaking out before
 // the boundary branch. Otherwise it runs the replication controller over all
 // chunks (mirroring any added pebbles into the global counter) and releases
 // the rest. Waiters raise their idle flag and keep draining their boundary
-// rings — under the gate mutex, so a post-vote arrival is never missed by
-// the quiescence check — so a neighbor still running toward the barrier can
-// never wedge on a full ring. Returns false when the run ended (quiescent
-// termination, error or watchdog).
+// rings — under the gate mutex, so the quiescence check never races a
+// drain — so a neighbor still running toward the barrier can never wedge on
+// a full ring. Returns false when the run ended (quiescent termination or
+// an error).
 func (w *worker) epochBarrier() bool {
 	last, rel := w.gate.arrive()
 	if last {
@@ -441,13 +534,6 @@ func (w *worker) epochBarrier() bool {
 	}
 }
 
-// splitPositions splits [0, n) into w contiguous chunks assuming uniform
-// per-host work, nudging each cut onto the largest-delay link within a
-// window around the even split (larger boundary delay = larger lookahead).
-func splitPositions(delays []int, w int) []int {
-	return splitPositionsWork(delays, nil, w)
-}
-
 // splitPositionsWork splits [0, n) into w contiguous chunks at the work
 // quantiles of the per-host work estimates (nil work = uniform), then nudges
 // each cut onto the largest-delay link within a window around its quantile
@@ -456,10 +542,7 @@ func splitPositions(delays []int, w int) []int {
 func splitPositionsWork(delays []int, work []int64, w int) []int {
 	n := len(delays) + 1
 	cuts := make([]int, 1, w+1)
-	window := n / (4 * w)
-	if window < 1 {
-		window = 1 // n < 4w would otherwise collapse the nudge search
-	}
+	window := max(1, n/(4*w)) // n < 4w would otherwise collapse the nudge search
 	var prefix []int64
 	var total int64
 	if work != nil {
@@ -488,13 +571,8 @@ func splitPositionsWork(delays []int, work []int64, w int) []int {
 		} else {
 			target = i * n / w
 		}
-		lo, hi := target-window, target+window
-		if lo < cuts[len(cuts)-1]+1 {
-			lo = cuts[len(cuts)-1] + 1
-		}
-		if hi > n-(w-i) {
-			hi = n - (w - i)
-		}
+		lo := max(target-window, cuts[len(cuts)-1]+1)
+		hi := min(target+window, n-(w-i))
 		best, bestD := -1, -1
 		for p := lo; p <= hi && p-1 < len(delays); p++ {
 			if p < 1 {
@@ -519,10 +597,7 @@ func splitPositionsWork(delays []int, work []int64, w int) []int {
 // cut at the work quantiles of the assignment's per-host pebble counts.
 func runParallel(cfg *Config, rt *routeTable) (*Result, error) {
 	n := cfg.hostN()
-	w := cfg.Workers
-	if w > n/2 {
-		w = n / 2
-	}
+	w := min(cfg.Workers, n/2)
 	if w < 2 {
 		return runSequential(cfg, rt)
 	}
@@ -568,8 +643,11 @@ func runParallelWithCuts(cfg *Config, rt *routeTable, cuts []int) (*Result, erro
 	var firstErr error
 
 	var gate *epochGate
+	var quiet *quietGate
 	if cfg.ast != nil {
 		gate = newEpochGate(w, chunks)
+	} else {
+		quiet = &quietGate{}
 	}
 	workers := make([]*worker, w)
 	for i := 0; i < w; i++ {
@@ -577,6 +655,7 @@ func runParallelWithCuts(cfg *Config, rt *routeTable, cuts []int) (*Result, erro
 			c: chunks[i], global: &global, done: done, doneOnce: &doneOnce,
 			errMu: &errMu, err: &firstErr,
 			notify: make(chan struct{}, 1),
+			quiet:  quiet,
 		}
 		if cfg.ast != nil {
 			workers[i].ast = cfg.ast
@@ -586,13 +665,12 @@ func runParallelWithCuts(cfg *Config, rt *routeTable, cuts []int) (*Result, erro
 	}
 	if gate != nil {
 		gate.workers = workers // terminal() scans every boundary ring
+	} else {
+		quiet.workers = workers
 	}
 	for i := 0; i < w-1; i++ {
 		d := int64(cfg.Delays[cuts[i+1]-1])
-		win := d / 2
-		if win < 1 {
-			win = 1
-		}
+		win := max(1, d/2)
 		east := newSPSC[[]timedMsg](boundaryRingCap) // batches i -> i+1
 		west := newSPSC[[]timedMsg](boundaryRingCap) // batches i+1 -> i
 		eastFree := newSPSC[[]timedMsg](freeRingCap)
@@ -617,63 +695,6 @@ func runParallelWithCuts(cfg *Config, rt *routeTable, cuts []int) (*Result, erro
 		workers[i+1].left = l
 	}
 
-	// Watchdog: if no pebble completes for WatchdogIdle of wall time the
-	// run is wedged (a correct run is compute-bound and never idles that
-	// long; genuine dataflow deadlocks usually hit the step cap first, the
-	// watchdog is the backstop for anything else).
-	var watchStop chan struct{}
-	if idle := cfg.WatchdogIdle; idle >= 0 {
-		if idle == 0 {
-			idle = 6 * time.Second // historical default: 3 strikes of 2s
-		}
-		period := idle / 3
-		if period < time.Millisecond {
-			period = time.Millisecond
-		}
-		// The watchdog gets its own shard: its ticks are wall-clock events
-		// that belong to no chunk.
-		var wdTel *telemetry.Shard
-		if cfg.em != nil {
-			wdTel = cfg.Telemetry.NewShard("watchdog")
-		}
-		watchStop = make(chan struct{})
-		go func() {
-			last := atomic.LoadInt64(&global)
-			strikes := 0
-			ticker := time.NewTicker(period)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-watchStop:
-					return
-				case <-ticker.C:
-					if cfg.em != nil {
-						wdTel.Inc(cfg.em.watchdogTicks)
-					}
-					cur := atomic.LoadInt64(&global)
-					if cur == 0 {
-						return
-					}
-					if cur == last {
-						strikes++
-						if strikes >= 3 {
-							errMu.Lock()
-							if firstErr == nil {
-								firstErr = fmt.Errorf("sim: parallel engine made no progress with %d pebbles remaining (deadlock)", cur)
-							}
-							errMu.Unlock()
-							doneOnce.Do(func() { close(done) })
-							return
-						}
-					} else {
-						strikes = 0
-						last = cur
-					}
-				}
-			}
-		}()
-	}
-
 	var wg sync.WaitGroup
 	maxSteps := cfg.maxSteps()
 	for i, wk := range workers {
@@ -688,9 +709,6 @@ func runParallelWithCuts(cfg *Config, rt *routeTable, cuts []int) (*Result, erro
 		}(wk)
 	}
 	wg.Wait()
-	if watchStop != nil {
-		close(watchStop)
-	}
 
 	errMu.Lock()
 	err := firstErr
@@ -701,34 +719,5 @@ func runParallelWithCuts(cfg *Config, rt *routeTable, cuts []int) (*Result, erro
 	if rem := atomic.LoadInt64(&global); rem != 0 {
 		return nil, fmt.Errorf("sim: parallel engine finished with %d pebbles remaining", rem)
 	}
-	res, err := collect(cfg, chunks)
-	if err != nil {
-		return nil, err
-	}
-	res.Chunks = chunkGauges(workers)
-	return res, nil
-}
-
-// chunkGauges snapshots per-worker engine gauges for the result.
-func chunkGauges(workers []*worker) []obs.ChunkGauge {
-	out := make([]obs.ChunkGauge, len(workers))
-	for i, wk := range workers {
-		g := obs.ChunkGauge{
-			Lo: wk.c.lo, Hi: wk.c.hi,
-			Steps:            wk.c.now,
-			BlockedAtHorizon: wk.blockedAtHorizon,
-			Blocked:          wk.blockedFor,
-		}
-		for j := range wk.c.procs {
-			g.Pebbles += wk.c.procs[j].computed
-		}
-		for _, s := range []*side{wk.left, wk.right} {
-			if s != nil {
-				g.Flushes += s.flushes
-				g.BatchedMsgs += s.sentMsgs
-			}
-		}
-		out[i] = g
-	}
-	return out
+	return collect(cfg, chunks)
 }

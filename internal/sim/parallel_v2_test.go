@@ -1,15 +1,19 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
-	"time"
 
 	"latencyhide/internal/assign"
+	"latencyhide/internal/fault"
 	"latencyhide/internal/guest"
+	"latencyhide/internal/telemetry"
 )
 
 // checkCuts asserts the structural invariants every cut vector must satisfy:
@@ -42,7 +46,7 @@ func TestSplitPositionsTable(t *testing.T) {
 		for _, tc := range []struct{ n, w int }{
 			{8, 2}, {64, 4}, {100, 5}, {96, 3},
 		} {
-			cuts := splitPositions(uniform(tc.n), tc.w)
+			cuts := splitPositionsWork(uniform(tc.n), nil, tc.w)
 			checkCuts(t, cuts, tc.n, tc.w)
 			// Uniform delays and work: each chunk within one window of n/w.
 			window := tc.n / (4 * tc.w)
@@ -65,7 +69,7 @@ func TestSplitPositionsTable(t *testing.T) {
 		for _, tc := range []struct{ n, w int }{
 			{10, 5}, {8, 4}, {6, 3}, {4, 2}, {12, 5}, {9, 4},
 		} {
-			cuts := splitPositions(uniform(tc.n), tc.w)
+			cuts := splitPositionsWork(uniform(tc.n), nil, tc.w)
 			checkCuts(t, cuts, tc.n, tc.w)
 		}
 	})
@@ -76,7 +80,7 @@ func TestSplitPositionsTable(t *testing.T) {
 			if w < 2 {
 				continue
 			}
-			cuts := splitPositions(uniform(n), w)
+			cuts := splitPositionsWork(uniform(n), nil, w)
 			checkCuts(t, cuts, n, w)
 		}
 	})
@@ -88,7 +92,7 @@ func TestSplitPositionsTable(t *testing.T) {
 		delays[19] = 50
 		delays[39] = 70
 		delays[59] = 60
-		cuts := splitPositions(delays, 4)
+		cuts := splitPositionsWork(delays, nil, 4)
 		checkCuts(t, cuts, 80, 4)
 		want := []int{0, 20, 40, 60, 80}
 		if !reflect.DeepEqual(cuts, want) {
@@ -126,21 +130,50 @@ func TestSplitPositionsTable(t *testing.T) {
 	})
 }
 
-// TestWatchdogCatchesDeadlock wires a genuinely deadlocked dataflow (an empty
-// route table, so boundary dependencies are never delivered) with a step cap
-// too large to fire first, and checks the wall-clock watchdog reports the
-// deadlock instead of hanging.
-func TestWatchdogCatchesDeadlock(t *testing.T) {
+// seqFrontier runs cfg over rt on the sequential engine, which must stall,
+// and returns its frontier: the error after "stalled at step N: ".
+func seqFrontier(t *testing.T, cfg *Config, rt *routeTable) string {
+	t.Helper()
+	_, err := runSequential(cfg, rt)
+	if err == nil {
+		t.Fatal("sequential engine finished a deadlocked run")
+	}
+	_, f, ok := strings.Cut(err.Error(), "stalled at step ")
+	if _, f, ok = strings.Cut(f, ": "); !ok {
+		t.Fatalf("sequential error is not a stall: %v", err)
+	}
+	return f
+}
+
+// checkStall runs the parallel engine over cuts and requires the stall
+// error with the sequential engine's frontier. MaxSteps is far out of
+// reach, so only the quiet gate can end the run.
+func checkStall(t *testing.T, cfg Config, rt *routeTable, cuts []int) {
+	t.Helper()
+	cfg.MaxSteps = 1 << 40
+	want := seqFrontier(t, &cfg, rt)
+	_, err := runParallelWithCuts(&cfg, rt, cuts)
+	if err == nil {
+		t.Fatal("deadlocked run reported success")
+	}
+	if !strings.Contains(err.Error(), "stalled") || !strings.Contains(err.Error(), want) {
+		t.Fatalf("cuts %v: got %v, want a stall at the sequential frontier %q", cuts, err, want)
+	}
+	t.Log(err)
+}
+
+// TestStallCatchesDeadlock wires a genuinely deadlocked dataflow (an empty
+// route table, so boundary dependencies are never delivered) across two
+// chunks and checks the quiet gate reports the stall instead of hanging.
+func TestStallCatchesDeadlock(t *testing.T) {
 	a, err := assign.FromOwned(2, 2, [][]int{{0}, {1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{
-		Delays:       []int{1},
-		Guest:        guest.Spec{Graph: guest.NewLinearArray(2), Steps: 2, Seed: 1},
-		Assign:       a,
-		MaxSteps:     1 << 40, // the clocks spin upward; make sure the cap cannot fire first
-		WatchdogIdle: 100 * time.Millisecond,
+		Delays: []int{1},
+		Guest:  guest.Spec{Graph: guest.NewLinearArray(2), Steps: 2, Seed: 1},
+		Assign: a,
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
@@ -149,68 +182,194 @@ func TestWatchdogCatchesDeadlock(t *testing.T) {
 	// which is never routed — the canonical "assignment bug" deadlock.
 	rt := newRouteShell(a)
 	rt.countCrossings(2, nil)
-	start := time.Now()
-	_, err = runParallelWithCuts(&cfg, rt, []int{0, 1, 2})
-	if err == nil {
-		t.Fatal("deadlocked run reported success")
+	checkStall(t, cfg, rt, []int{0, 1, 2})
+}
+
+// withoutRoutesAcross drops every route whose traffic crosses link
+// (k, k+1) from its sender's slot, so the values it carries never arrive.
+func withoutRoutesAcross(rt *routeTable, k int32) {
+	var ids []int32
+	off := make([]int32, len(rt.slotOff))
+	for s := 0; s+1 < len(rt.slotOff); s++ {
+		off[s] = int32(len(ids))
+		for _, id := range rt.routeIDs[rt.slotOff[s]:rt.slotOff[s+1]] {
+			dests := rt.destsOf(id)
+			lo, hi := rt.routes[id].sender, dests[len(dests)-1]
+			if lo > hi {
+				lo, hi = hi, lo
+			}
+			if lo > k || k >= hi {
+				ids = append(ids, id)
+			}
+		}
 	}
-	if !strings.Contains(err.Error(), "deadlock") {
-		t.Fatalf("want deadlock error, got: %v", err)
+	off[len(off)-1] = int32(len(ids))
+	rt.routeIDs, rt.slotOff = ids, off
+}
+
+// TestStallInteriorBoundary cuts the routes across the middle boundary of
+// four chunks: the outer chunks run until the missing values' cone reaches
+// them, then every chunk falls quiet with pebbles left.
+func TestStallInteriorBoundary(t *testing.T) {
+	a, err := assign.SingleCopyBlocks(8, 16)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("watchdog took %v to fire", elapsed)
+	cfg := Config{
+		Delays: []int{1, 3, 2, 4, 2, 1, 3},
+		Guest:  guest.Spec{Graph: guest.NewLinearArray(16), Steps: 12, Seed: 5},
+		Assign: a,
+	}
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	rt := buildRoutes(cfg.Guest.Graph, a, nil, nil)
+	withoutRoutesAcross(rt, 3)
+	checkStall(t, cfg, rt, []int{0, 2, 4, 6, 8})
+}
+
+// TestStallQueuedCrashFinishes: a crash-stop host is no route destination,
+// so it sticks early, and only its crash at a late step writes its pebbles
+// off. Its chunk has nothing but that queued crash left, which counts as an
+// event: the run must finish, not stall, and match the sequential engine.
+func TestStallQueuedCrashFinishes(t *testing.T) {
+	const hostN, host, crashStep = 8, 3, 300
+	a, err := assign.ReplicatedBlocks(hostN, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Delays:         []int{2, 5, 1, 7, 3, 2, 4},
+		Guest:          guest.Spec{Graph: guest.NewLinearArray(a.Columns), Steps: 8, Seed: 17},
+		Assign:         a,
+		MaxSteps:       1 << 40,
+		Check:          true,
+		CollectPerProc: true,
+		Faults:         &fault.Plan{Seed: 1, Crashes: []fault.Crash{{Host: host, Step: crashStep}}},
+	}
+	res := runBoth(t, cfg, "late crash")
+	if full := int64(len(a.Owned[host]) * cfg.Guest.Steps); res.PerProcComputed[host] >= full {
+		t.Fatalf("crash host computed all %d pebbles; the run never needed the write-off", full)
+	}
+	if res.HostSteps >= crashStep {
+		t.Fatalf("last pebble at step %d, want before the crash at %d", res.HostSteps, crashStep)
 	}
 }
 
-// TestChunkGauges checks the parallel result carries one gauge per chunk,
-// tiling the host line, with pebble counts summing to the run total.
+// chunkShards reads the per-chunk telemetry shards of a finished run and
+// checks they tile the host line [0, hostN) in order, returning their
+// pebbles_computed counters.
+func chunkShards(t *testing.T, reg *telemetry.Registry, hostN int) []int64 {
+	t.Helper()
+	var pebbles []int64
+	prev := 0
+	for _, s := range reg.ShardSnapshots() {
+		var lo, hi int
+		if _, err := fmt.Sscanf(s.Label, "chunk[%d,%d)", &lo, &hi); err != nil {
+			t.Fatalf("shard label %q: %v", s.Label, err)
+		}
+		if lo != prev || hi <= lo {
+			t.Fatalf("shard %q does not continue the tiling at %d", s.Label, prev)
+		}
+		prev = hi
+		pebbles = append(pebbles, s.Counter("pebbles_computed"))
+	}
+	if prev != hostN {
+		t.Fatalf("shards end at %d, want %d", prev, hostN)
+	}
+	return pebbles
+}
+
+func sum(xs []int64) int64 {
+	var s int64
+	for _, x := range xs {
+		s += x
+	}
+	return s
+}
+
+// TestChunkGauges checks a parallel run cuts one telemetry shard per chunk,
+// tiling the host line, with pebble counts summing to the run total; a
+// sequential run cuts a single shard over the whole line.
 func TestChunkGauges(t *testing.T) {
 	a, err := assign.UniformBlocks(16, 2, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{
-		Delays:  unitDelays(16),
-		Guest:   guest.Spec{Graph: guest.NewLinearArray(a.Columns), Steps: 10, Seed: 3},
-		Assign:  a,
-		Workers: 4,
+		Delays:    unitDelays(16),
+		Guest:     guest.Spec{Graph: guest.NewLinearArray(a.Columns), Steps: 10, Seed: 3},
+		Assign:    a,
+		Workers:   4,
+		Telemetry: telemetry.NewRegistry(),
 	}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Chunks) != 4 {
-		t.Fatalf("want 4 chunk gauges, got %d", len(res.Chunks))
+	pebbles := chunkShards(t, cfg.Telemetry, 16)
+	if len(pebbles) != 4 {
+		t.Fatalf("want 4 chunk shards, got %d", len(pebbles))
 	}
-	var pebbles int64
-	prev := 0
-	for i, g := range res.Chunks {
-		if g.Lo != prev {
-			t.Fatalf("gauge %d starts at %d, want %d (%+v)", i, g.Lo, prev, res.Chunks)
-		}
-		if g.Hi <= g.Lo {
-			t.Fatalf("gauge %d empty: %+v", i, g)
-		}
-		prev = g.Hi
-		pebbles += g.Pebbles
-		if g.Steps < res.HostSteps {
-			t.Fatalf("gauge %d stopped at step %d before the run end %d", i, g.Steps, res.HostSteps)
-		}
+	if sum(pebbles) != res.PebblesComputed {
+		t.Fatalf("shard pebbles %v sum to %d, run total %d", pebbles, sum(pebbles), res.PebblesComputed)
 	}
-	if prev != 16 {
-		t.Fatalf("gauges end at %d, want 16", prev)
-	}
-	if pebbles != res.PebblesComputed {
-		t.Fatalf("gauge pebbles %d != run total %d", pebbles, res.PebblesComputed)
-	}
-	// Sequential runs carry no gauges.
 	cfg.Workers = 0
+	cfg.Telemetry = telemetry.NewRegistry()
 	seq, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seq.Chunks) != 0 {
-		t.Fatalf("sequential run grew chunk gauges: %+v", seq.Chunks)
+	if got := chunkShards(t, cfg.Telemetry, 16); len(got) != 1 || got[0] != seq.PebblesComputed {
+		t.Fatalf("sequential shards %v, want one holding %d pebbles", got, seq.PebblesComputed)
+	}
+}
+
+// TestChunkGaugesConcurrent reads the per-chunk shards while the parallel
+// engine writes them; under -race this checks the reads are race-free, and
+// the finished shards must still tile the line and sum to the run total.
+func TestChunkGaugesConcurrent(t *testing.T) {
+	a, err := assign.UniformBlocks(64, 2, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	cfg := Config{
+		Delays:    delaysOf(64, 3),
+		Guest:     guest.Spec{Graph: guest.NewLinearArray(a.Columns), Steps: 40, Seed: 3},
+		Assign:    a,
+		Workers:   4,
+		Telemetry: reg,
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, s := range reg.ShardSnapshots() {
+					if s.Counter("pebbles_computed") < 0 {
+						t.Errorf("shard %s went negative", s.Label)
+					}
+				}
+				runtime.Gosched()
+			}
+		}()
+	}
+	res, err := Run(cfg)
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sum(chunkShards(t, reg, 64)); got != res.PebblesComputed {
+		t.Fatalf("shard pebbles sum to %d, run total %d", got, res.PebblesComputed)
 	}
 }
 
@@ -269,7 +428,7 @@ func FuzzParallelCuts(f *testing.F) {
 		if err != nil {
 			t.Fatalf("cuts %v: %v", cuts, err)
 		}
-		if !reflect.DeepEqual(seq, stripGauges(par)) {
+		if !reflect.DeepEqual(seq, par) {
 			t.Fatalf("cuts %v: results differ:\nseq %+v\npar %+v", cuts, seq, par)
 		}
 	})

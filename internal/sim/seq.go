@@ -54,7 +54,7 @@ func runSequential(cfg *Config, rt *routeTable) (*Result, error) {
 		next, ok := c.nextEvent()
 		if !ok {
 			if ast == nil {
-				return nil, stallError(c)
+				return nil, stallError(fmt.Sprintf("at step %d", c.now), c)
 			}
 			// A quiescent chunk is not necessarily stuck under adaptation: a
 			// boundary activation may revive the dataflow. The step cap still
@@ -73,32 +73,36 @@ func runSequential(cfg *Config, rt *routeTable) (*Result, error) {
 }
 
 // stallError reports a deadlocked dataflow with enough context to debug the
-// assignment or routing table that caused it.
-func stallError(c *chunk) error {
-	return fmt.Errorf("sim: stalled at step %d: %s", c.now, frontier(c))
+// assignment or routing table that caused it; at says where the engine
+// noticed.
+func stallError(at string, chunks ...*chunk) error {
+	return fmt.Errorf("sim: stalled %s: %s", at, frontier(chunks...))
 }
 
-// frontier summarises the chunk's stuck dataflow frontier — the first live
-// column that cannot advance, its missing dependency count, and the
-// outstanding work — for stall and step-cap diagnostics.
-func frontier(c *chunk) string {
-	for i := range c.procs {
-		p := &c.procs[i]
-		if p.crashed {
-			continue
-		}
-		for j := range p.cols {
-			oc := &p.cols[j]
-			if oc.dormant {
+// frontier summarises the stuck dataflow frontier of chunks, given in line
+// order: the first live column that cannot advance, its missing dependency
+// count, and the outstanding work, for stall and step-cap diagnostics.
+func frontier(chunks ...*chunk) string {
+	var remaining int64
+	for _, c := range chunks {
+		remaining += c.remaining
+	}
+	for _, c := range chunks {
+		for i := range c.procs {
+			p := &c.procs[i]
+			if p.crashed {
 				continue
 			}
-			if oc.next <= c.T {
-				return fmt.Sprintf("pos %d col %d stuck at guest step %d (missing %d deps); %d pebbles remaining",
-					p.pos, oc.col, oc.next, oc.missing, c.remaining)
+			for j := range p.cols {
+				oc := &p.cols[j]
+				if !oc.dormant && oc.next <= c.T {
+					return fmt.Sprintf("pos %d col %d stuck at guest step %d (missing %d deps); %d pebbles remaining",
+						p.pos, oc.col, oc.next, oc.missing, remaining)
+				}
 			}
 		}
 	}
-	return fmt.Sprintf("%d pebbles remaining", c.remaining)
+	return fmt.Sprintf("%d pebbles remaining", remaining)
 }
 
 // collect assembles a Result from finished chunks and optionally verifies
@@ -129,34 +133,6 @@ func collect(cfg *Config, chunks []*chunk) (*Result, error) {
 	}
 	if dups > 0 {
 		return nil, fmt.Errorf("sim: %d duplicate deliveries (routing bug)", dups)
-	}
-	if cfg.TraceWindow > 0 {
-		// Pre-size both timelines to the widest chunk window count so the
-		// merge is a flat O(n) accumulation instead of growing
-		// element-by-element inside the loop.
-		windows := 0
-		for _, c := range chunks {
-			if len(c.traceComputes) > windows {
-				windows = len(c.traceComputes)
-			}
-			if len(c.traceHops) > windows {
-				windows = len(c.traceHops)
-			}
-		}
-		tr := &Trace{
-			Window:   cfg.TraceWindow,
-			Computes: make([]int64, windows),
-			Hops:     make([]int64, windows),
-		}
-		for _, c := range chunks {
-			for i, v := range c.traceComputes {
-				tr.Computes[i] += v
-			}
-			for i, v := range c.traceHops {
-				tr.Hops[i] += v
-			}
-		}
-		res.Trace = tr
 	}
 	if cfg.CollectPerProc {
 		res.PerProcComputed = make([]int64, cfg.hostN())

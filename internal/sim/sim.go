@@ -28,7 +28,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"latencyhide/internal/adapt"
 	"latencyhide/internal/assign"
@@ -70,9 +69,6 @@ type Config struct {
 	Check bool
 	// CollectPerProc retains per-workstation compute counts in the result.
 	CollectPerProc bool
-	// TraceWindow > 0 collects a utilization timeline: pebbles computed
-	// and link crossings per window of that many host steps.
-	TraceWindow int
 	// Recorder, when non-nil, receives the run's structured event stream
 	// (package obs). Both engines buffer events per chunk and replay the
 	// merged stream in canonical order after the run, so the same Recorder
@@ -91,15 +87,9 @@ type Config struct {
 	// a column past the policy threshold. Fully deterministic: adaptive runs
 	// stay bit-identical across engines and worker counts (see adapt.go).
 	Adapt *adapt.Policy
-	// WatchdogIdle is how long the parallel engine tolerates zero global
-	// progress before declaring the dataflow deadlocked. Zero keeps the
-	// historical default (6s); negative disables the watchdog entirely
-	// (useful under -race on slow shared runners, where a correct run can
-	// wall-clock stall long enough to trip a fixed timeout).
-	WatchdogIdle time.Duration
 	// Telemetry, when non-nil, receives the engine's runtime metrics: Run
 	// registers the engine schema on it and both engines cut one shard per
-	// chunk (plus one for the parallel watchdog). Hot-path accumulation is
+	// chunk, labelled "chunk[lo,hi)". Hot-path accumulation is
 	// plain fields flushed into the shard every 64 steps, so enabling it is
 	// cheap and nil disables it down to a single branch per step. See
 	// internal/sim/telemetry.go for the metric names.
@@ -118,11 +108,7 @@ func (c *Config) bandwidth() int {
 	if c.Bandwidth > 0 {
 		return c.Bandwidth
 	}
-	b := network.Log2Ceil(c.hostN())
-	if b < 1 {
-		b = 1
-	}
-	return b
+	return max(1, network.Log2Ceil(c.hostN()))
 }
 
 // linkBandwidth resolves the effective bandwidth of link (i, i+1).
@@ -148,9 +134,7 @@ func (c *Config) maxSteps() int64 {
 	dmax := 0
 	for _, d := range c.Delays {
 		total += int64(d)
-		if d > dmax {
-			dmax = d
-		}
+		dmax = max(dmax, d)
 	}
 	load := int64(c.Assign.Load())
 	t := int64(c.Guest.Steps)
@@ -203,7 +187,10 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// Result reports what a run measured.
+// Result reports what a run measured. Every field is deterministic: equal
+// configurations give equal Results on either engine and any worker count.
+// Wall-clock engine mechanics go to Config.Telemetry, and the event stream
+// to Config.Recorder.
 type Result struct {
 	GuestSteps int
 	HostSteps  int64   // step at which the last pebble was computed
@@ -226,36 +213,6 @@ type Result struct {
 	AdaptActivations int
 
 	PerProcComputed []int64 // only when CollectPerProc
-
-	// Trace is the utilization timeline when Config.TraceWindow > 0.
-	Trace *Trace
-
-	// Chunks holds per-chunk engine gauges from parallel runs (empty for
-	// the sequential engine). These are wall-clock measurements — they are
-	// not part of the deterministic result and differ run to run.
-	Chunks []obs.ChunkGauge
-}
-
-// Trace is a windowed timeline of engine activity: entry w covers host
-// steps [w*Window+1, (w+1)*Window].
-type Trace struct {
-	Window   int
-	Computes []int64 // pebbles computed per window
-	Hops     []int64 // link crossings per window
-}
-
-// Utilization returns the fraction of total compute capacity used in each
-// window, given the number of busy-capable workstations.
-func (t *Trace) Utilization(procs int) []float64 {
-	out := make([]float64, len(t.Computes))
-	den := float64(procs * t.Window)
-	if den <= 0 {
-		return out
-	}
-	for i, c := range t.Computes {
-		out[i] = float64(c) / den
-	}
-	return out
 }
 
 // ObsInfo builds the static run facts package obs's instruments need
@@ -308,6 +265,9 @@ func Run(cfg Config) (*Result, error) {
 		extra = cfg.ast.extraCols
 	}
 	routes := buildRoutes(cfg.Guest.Graph, cfg.Assign, crashed, extra)
+	if err := routeEnvelope(int64(len(routes.chainArena)), int64(cfg.Assign.Columns)); err != nil {
+		return nil, err
+	}
 	if cfg.Telemetry != nil {
 		cfg.em = registerEngineMetrics(cfg.Telemetry)
 	}
@@ -337,8 +297,9 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // EnvelopeError reports a configuration outside the engine's int32
-// envelope: the hot state stores guest steps, link codes, neighbor slots and
-// route ids as int32, so a value past Limit would wrap silently.
+// envelope: the hot state stores guest steps, link codes, neighbor slots,
+// route ids, chain offsets and columns as int32, so a value past Limit would
+// wrap silently.
 type EnvelopeError struct {
 	Field string
 	Value int64
@@ -361,6 +322,11 @@ const (
 	// maxReplicas bounds the route ids: a column's holder sends at most one
 	// route each way, so routes <= 2*replicas must fit ownedCol.rtOff.
 	maxReplicas = math.MaxInt32 / 2
+	// maxChainArena keeps every chain index, routeRec.off + 2*di, in an
+	// int32.
+	maxChainArena = math.MaxInt32
+	// maxColumns keeps a column id (routeRec.col, ownedCol.col) in an int32.
+	maxColumns = math.MaxInt32
 )
 
 // checkEnvelope rejects configurations whose guest steps, host size,
@@ -380,12 +346,26 @@ func (c *Config) checkEnvelope() error {
 
 // envelope checks the int32 limits against the resolved figures.
 func envelope(steps, hostN, procSlots, replicas int64) error {
-	for _, f := range []EnvelopeError{
-		{"Guest.Steps", steps, maxGuestSteps},
-		{"host positions", hostN, maxHostN},
-		{"neighbor slots on one workstation", procSlots, maxProcSlots},
-		{"replicas", replicas, maxReplicas},
-	} {
+	return firstOver(
+		EnvelopeError{"Guest.Steps", steps, maxGuestSteps},
+		EnvelopeError{"host positions", hostN, maxHostN},
+		EnvelopeError{"neighbor slots on one workstation", procSlots, maxProcSlots},
+		EnvelopeError{"replicas", replicas, maxReplicas},
+	)
+}
+
+// routeEnvelope checks the sizes known only once the route table is built:
+// the chain arena's length and the column count.
+func routeEnvelope(arena, columns int64) error {
+	return firstOver(
+		EnvelopeError{"route chain arena entries", arena, maxChainArena},
+		EnvelopeError{"columns", columns, maxColumns},
+	)
+}
+
+// firstOver returns the first figure past its limit, or nil.
+func firstOver(fs ...EnvelopeError) error {
+	for _, f := range fs {
 		if f.Value > f.Limit {
 			return &f
 		}

@@ -22,8 +22,9 @@ import (
 //     single nil check.
 //
 //   - Event-grained writes. Rare-but-interesting events (boundary flushes,
-//     worker parks, watchdog ticks) write straight to the shard at the point
-//     they happen; they are orders of magnitude rarer than pebbles.
+//     worker parks and the wall time spent parked) write straight to the
+//     shard at the point they happen; they are orders of magnitude rarer
+//     than pebbles.
 //
 // The metric names below are the engine's telemetry schema; the manifest
 // validator (telemetry.RunManifest.Validate) and the docs reference them by
@@ -48,7 +49,7 @@ type engineMetrics struct {
 	ringFullStalls    telemetry.CounterID // producer retries against a full SPSC ring
 	workerParks       telemetry.CounterID // workers parked at their horizon
 	workerWakes       telemetry.CounterID // parked workers woken by a neighbor
-	watchdogTicks     telemetry.CounterID // watchdog wakeups that found progress pending
+	workerBlockedNs   telemetry.CounterID // wall-clock nanoseconds workers spent parked
 
 	// high-water-mark gauges
 	calRingDepthPeak  telemetry.GaugeID // peak pending calendar entries (ring + overflow)
@@ -91,7 +92,7 @@ func registerEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 		ringFullStalls:    reg.Counter("ring_full_stalls"),
 		workerParks:       reg.Counter("worker_parks"),
 		workerWakes:       reg.Counter("worker_wakes"),
-		watchdogTicks:     reg.Counter("watchdog_ticks"),
+		workerBlockedNs:   reg.Counter("worker_blocked_ns"),
 
 		calRingDepthPeak:  reg.Gauge("cal_ring_depth_peak"),
 		calOverflowPeak:   reg.Gauge("cal_overflow_peak"),

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"latencyhide/internal/assign"
@@ -113,10 +114,12 @@ func TestTelemetryParallelBoundaryMetrics(t *testing.T) {
 		t.Errorf("batch-size histogram count %d != flushes %d",
 			h.Count, snap.Counter("boundary_flushes"))
 	}
-	// One shard per chunk plus the watchdog's.
-	labels := reg.ShardLabels()
-	if len(labels) != 5 {
-		t.Errorf("shard labels = %v, want 4 chunks + watchdog", labels)
+	// One shard per chunk and nothing else.
+	if shards := reg.ShardSnapshots(); len(shards) != 4 {
+		t.Errorf("%d shards, want one per chunk (4)", len(shards))
+	}
+	if !slices.Contains(reg.Names(), "counter:worker_blocked_ns") {
+		t.Errorf("worker_blocked_ns missing from the schema %v", reg.Names())
 	}
 	// Telemetry must not perturb results: same config without a registry is
 	// bit-identical.

@@ -22,7 +22,8 @@
 //  3. Shards are cheap and plentiful: one per engine chunk/worker, created
 //     via Registry.NewShard. Snapshot() merges them — counters sum, gauges
 //     max, histogram buckets sum — which is exactly the cross-worker view
-//     the manifest wants.
+//     the manifest wants; ShardSnapshots() reads each on its own, for
+//     per-chunk tables.
 //
 // Metrics must be registered before shards are created (the engine registers
 // its schema once per run, then cuts shards); NewShard panics otherwise
@@ -245,6 +246,33 @@ func (r *Registry) Snapshot() *Snapshot {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.merge(r.shards)
+}
+
+// ShardSnapshot is one shard's own view, under the label it was created with.
+type ShardSnapshot struct {
+	Label string
+	*Snapshot
+}
+
+// ShardSnapshots reads every shard on its own, in creation order. Like
+// Snapshot it is safe while the shards are still being written.
+func (r *Registry) ShardSnapshots() []ShardSnapshot {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]ShardSnapshot, len(r.shards))
+	for i, s := range r.shards {
+		out[i] = ShardSnapshot{Label: s.label, Snapshot: r.merge([]*Shard{s})}
+	}
+	return out
+}
+
+// merge folds shards into one snapshot: counters summed, gauges maxed,
+// histogram buckets summed. Callers hold r.mu.
+func (r *Registry) merge(shards []*Shard) *Snapshot {
 	out := &Snapshot{
 		Counters: make(map[string]int64, len(r.counters)),
 		Gauges:   make(map[string]int64, len(r.gauges)),
@@ -252,7 +280,7 @@ func (r *Registry) Snapshot() *Snapshot {
 	}
 	for i, name := range r.counters {
 		var v int64
-		for _, s := range r.shards {
+		for _, s := range shards {
 			if i < len(s.counters) {
 				v += s.counters[i].Load()
 			}
@@ -261,7 +289,7 @@ func (r *Registry) Snapshot() *Snapshot {
 	}
 	for i, name := range r.gauges {
 		var v int64
-		for _, s := range r.shards {
+		for _, s := range shards {
 			if i < len(s.gauges) {
 				if g := s.gauges[i].Load(); g > v {
 					v = g
@@ -273,7 +301,7 @@ func (r *Registry) Snapshot() *Snapshot {
 	for i, name := range r.hists {
 		var h HistSnapshot
 		var buckets [histBuckets]int64
-		for _, s := range r.shards {
+		for _, s := range shards {
 			if i < len(s.hists) {
 				sh := &s.hists[i]
 				h.Count += sh.count.Load()
@@ -296,21 +324,6 @@ func (r *Registry) Snapshot() *Snapshot {
 		h.P50 = h.quantile(0.50)
 		h.P99 = h.quantile(0.99)
 		out.Hists[name] = h
-	}
-	return out
-}
-
-// ShardLabels lists the labels of every shard created so far, in creation
-// order (handy for debugging which workers reported).
-func (r *Registry) ShardLabels() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, len(r.shards))
-	for i, s := range r.shards {
-		out[i] = s.label
 	}
 	return out
 }

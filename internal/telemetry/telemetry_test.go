@@ -48,6 +48,39 @@ func TestRegistryMerge(t *testing.T) {
 	}
 }
 
+// ShardSnapshots reads each shard alone, in creation order, with the same
+// merge rules Snapshot applies across them.
+func TestShardSnapshots(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("pebbles_computed")
+	g := r.Gauge("depth_peak")
+	h := r.Histogram("batch")
+	s1 := r.NewShard("w0")
+	s2 := r.NewShard("w1")
+	s1.Add(c, 10)
+	s2.Add(c, 32)
+	s1.SetMax(g, 7)
+	s2.Observe(h, 100)
+
+	shards := r.ShardSnapshots()
+	if len(shards) != 2 || shards[0].Label != "w0" || shards[1].Label != "w1" {
+		t.Fatalf("shard snapshots %+v, want w0 then w1", shards)
+	}
+	if a, b := shards[0].Counter("pebbles_computed"), shards[1].Counter("pebbles_computed"); a != 10 || b != 32 {
+		t.Errorf("per-shard counters %d, %d, want 10, 32", a, b)
+	}
+	if a, b := shards[0].Gauge("depth_peak"), shards[1].Gauge("depth_peak"); a != 7 || b != 0 {
+		t.Errorf("per-shard gauges %d, %d, want 7, 0", a, b)
+	}
+	if a, b := shards[0].Hists["batch"].Count, shards[1].Hists["batch"].Count; a != 0 || b != 1 {
+		t.Errorf("per-shard histogram counts %d, %d, want 0, 1", a, b)
+	}
+	var nilReg *Registry
+	if nilReg.ShardSnapshots() != nil {
+		t.Error("nil registry must have no shards")
+	}
+}
+
 func TestNilShardIsNoop(t *testing.T) {
 	var s *Shard
 	// The disabled fast path: all writes on a nil shard must be safe no-ops.
