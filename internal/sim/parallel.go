@@ -538,7 +538,7 @@ func (w *worker) epochBarrier() bool {
 // quantiles of the per-host work estimates (nil work = uniform), then nudges
 // each cut onto the largest-delay link within a window around its quantile
 // position. Cuts are strictly increasing and every chunk is non-empty for
-// any 2 <= w <= n/2.
+// any 2 <= w <= n.
 func splitPositionsWork(delays []int, work []int64, w int) []int {
 	n := len(delays) + 1
 	cuts := make([]int, 1, w+1)
@@ -571,21 +571,18 @@ func splitPositionsWork(delays []int, work []int64, w int) []int {
 		} else {
 			target = i * n / w
 		}
-		lo := max(target-window, cuts[len(cuts)-1]+1)
-		hi := min(target+window, n-(w-i))
-		best, bestD := -1, -1
-		for p := lo; p <= hi && p-1 < len(delays); p++ {
-			if p < 1 {
-				continue
-			}
+		// Cut i must leave a position for every chunk before and after it.
+		// A work quantile can fall outside that range (heavy work at a line
+		// end), so clamp the target first: the nudge window then always
+		// holds a feasible cut.
+		lo, hi := cuts[len(cuts)-1]+1, n-(w-i)
+		target = min(max(target, lo), hi)
+		lo, hi = max(lo, target-window), min(hi, target+window)
+		best, bestD := lo, -1
+		for p := lo; p <= hi; p++ {
 			if d := delays[p-1]; d > bestD {
 				best, bestD = p, d
 			}
-		}
-		if best < 0 {
-			// Defensive: the feasible window [prev+1, n-(w-i)] is never
-			// empty for w <= n/2, but fall back to its left edge anyway.
-			best = lo
 		}
 		cuts = append(cuts, best)
 	}

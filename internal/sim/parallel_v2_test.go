@@ -100,6 +100,24 @@ func TestSplitPositionsTable(t *testing.T) {
 		}
 	})
 
+	t.Run("work-at-line-end", func(t *testing.T) {
+		// Every work quantile lands on the last host, past the room the
+		// later cuts need: the cuts must still be strictly increasing.
+		for _, tc := range []struct {
+			delays []int
+			work   []int64
+		}{
+			{[]int{1, 31, 1, 1, 12}, []int64{1, 1, 1, 1, 1, 11}},
+			{uniform(12), []int64{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 500}},
+			{uniform(12), []int64{500, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}},
+		} {
+			n := len(tc.delays) + 1
+			for w := 2; w <= n; w++ {
+				checkCuts(t, splitPositionsWork(tc.delays, tc.work, w), n, w)
+			}
+		}
+	})
+
 	t.Run("work-balanced-skew", func(t *testing.T) {
 		// All the work piles up on the last quarter of the hosts; the work
 		// quantile cuts must crowd toward that end instead of splitting the
