@@ -1,13 +1,10 @@
 # latencyhide — build / test / reproduce targets
 
 GO ?= go
-BENCH_BASELINE ?= BENCH_1.json
-BENCH_PATTERN  ?= Engine|Telemetry|FaultQuery
-BENCH_TIME     ?= 3x
 
 COVER_MIN ?= 80
 
-.PHONY: all build test race bench bench-baseline bench-diff bench-telemetry-gate bench-parallel-gate bench-fault-gate bench-mem-gate bench-huge-smoke bench-all ci check-binaries cover verify chaos twin-gate fleet experiments examples clean
+.PHONY: all build test race bench bench-huge-smoke bench-all ci check-binaries cover verify chaos twin-gate fleet experiments examples clean
 
 all: build test
 
@@ -84,60 +81,13 @@ fleet:
 race:
 	$(GO) test -race ./internal/sim ./internal/overlap ./internal/mesharray
 
-# Engine benchmark regression harness: run the engine micro-benchmarks and
-# compare pebbles/sec against the committed baseline ($(BENCH_BASELINE)),
-# failing on >10% regressions. With no baseline present, record one instead.
+# Engine micro-benchmarks (plus the telemetry-on and fault-plan-on runs that
+# price against EngineSequential), no comparison. The engine's exact work
+# counters are pinned by TestGoldenCounters
+# (internal/sim/testdata/golden_counters.txt); end-to-end timing is
+# perfbench/'s job (BENCHMARK.json).
 bench:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime $(BENCH_TIME) -count 1 . | tee bench.out
-	@if [ -f $(BENCH_BASELINE) ]; then \
-		$(GO) run ./cmd/benchcmp -baseline $(BENCH_BASELINE) bench.out; \
-	else \
-		$(GO) run ./cmd/benchcmp -write $(BENCH_BASELINE) bench.out; \
-	fi
-
-# Re-record the baseline (after an intentional perf change).
-bench-baseline:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime $(BENCH_TIME) -count 1 . | tee bench.out
-	$(GO) run ./cmd/benchcmp -write $(BENCH_BASELINE) bench.out
-
-# Diff the newest two committed BENCH_*.json records, failing on a >15%
-# sequential-engine regression (parallel lines are reported but ungated).
-bench-diff:
-	$(GO) run ./cmd/benchcmp -diff-latest .
-
-# Tight telemetry-disabled gate: the sequential engine with a nil registry
-# must stay within 2% of the previous committed baseline (deterministic —
-# both records are committed files, no benchmarks run here).
-bench-telemetry-gate:
-	$(GO) run ./cmd/benchcmp -diff-latest . -threshold 0.02 -only EngineSequential
-
-# Same deterministic 2% gate for the 4-worker parallel engine (-gate-all
-# because parallel benchmarks sit outside the default sequential-only gate).
-bench-parallel-gate:
-	$(GO) run ./cmd/benchcmp -diff-latest . -threshold 0.02 -only EngineParallel4 -gate-all
-
-# Deterministic 2% faults-disabled gate, mirroring bench-telemetry-gate:
-# the engine with Config.Faults nil must pay nothing for the regime
-# machinery (one pointer check per run, no per-injection queries). The gate
-# arms itself: until a committed baseline records FaultQueryOff it reports
-# and passes (diffing records that predate the benchmark would always be
-# vacuous); once one does, absence or regression fails the build.
-bench-fault-gate:
-	@latest=$$(ls BENCH_*.json | sort -t_ -k2 -n | tail -1); \
-	if grep -q FaultQueryOff "$$latest"; then \
-		$(GO) run ./cmd/benchcmp -diff-latest . -threshold 0.02 -only FaultQueryOff -gate-all; \
-	else \
-		echo "bench-fault-gate: $$latest predates BenchmarkFaultQueryOff; gate arms with the next bench-baseline"; \
-	fi
-
-# Deterministic memory gate: bytes/pebble on the engine benchmarks must not
-# grow more than 10% PR-over-PR. Unlike wall time, allocation per pebble is
-# nearly machine-independent, so the memory gate covers every compared
-# engine benchmark (both records are committed files, no benchmarks run
-# here). The 100% time threshold neutralizes the wall-clock gate so this
-# target fails on memory only.
-bench-mem-gate:
-	$(GO) run ./cmd/benchcmp -diff-latest . -threshold 1.0 -mem-threshold 0.10 -only Engine
+	$(GO) test -run '^$$' -bench 'Engine|Telemetry|FaultQuery' -benchtime 3x -count 1 .
 
 # Reduced-scale EngineHuge smoke: the 10M-pebble tier's code path and its
 # declared RSS budget, scaled down to a line CI can run in seconds. The

@@ -321,9 +321,8 @@ func benchEngine(b *testing.B, workers int) {
 		Workers: workers,
 	}
 	// B/op divided by pebbles/op is the engine's allocation footprint per
-	// pebble; benchcmp derives and tracks it as bytes_per_pebble. Peak RSS
-	// rides along as rss-bytes (report-only — it includes runtime spans and
-	// whatever earlier benchmarks left resident).
+	// pebble. Peak RSS rides along as rss-bytes (it includes runtime spans
+	// and whatever earlier benchmarks left resident).
 	b.ReportAllocs()
 	telemetry.ResetPeakRSS()
 	b.ResetTimer()
@@ -342,10 +341,9 @@ func benchEngine(b *testing.B, workers int) {
 }
 
 // BenchmarkEngineLarge is the memory-tier benchmark: a single run computes
-// over five million pebbles, so B/op ÷ pebbles/op (benchcmp's
-// bytes_per_pebble) reflects steady-state allocation behavior at scale
-// rather than per-run setup cost — the first step toward the ROADMAP
-// "millions of guest columns" item.
+// over five million pebbles, so B/op ÷ pebbles/op (bytes per pebble)
+// reflects steady-state allocation behavior at scale rather than per-run
+// setup cost.
 func BenchmarkEngineLarge(b *testing.B) {
 	delays := nowLine(4096, 3)
 	t := tree.Build(delays, 4)
@@ -437,18 +435,10 @@ func BenchmarkEngineHuge(b *testing.B) {
 	}
 }
 
-// BenchmarkTelemetryOverhead guards the zero-cost-when-disabled contract of
-// the telemetry registry: Config.Telemetry nil (the default) leaves only
-// plain int64 field increments on the hot path and must track
-// BenchmarkEngineSequential. CI gates the disabled path at 2% via
-// benchcmp -diff-latest.
-func BenchmarkTelemetryOverhead(b *testing.B) {
-	benchEngine(b, 0)
-}
-
 // BenchmarkTelemetryEnabled pays for a live registry: per-chunk shards,
 // periodic flushes every 64 steps, histogram observes and peak scans.
-// Compare against BenchmarkTelemetryOverhead to price instrumentation.
+// Compare against BenchmarkEngineSequential (the same run with a nil
+// registry) to price instrumentation.
 func BenchmarkTelemetryEnabled(b *testing.B) {
 	delays := nowLine(1024, 3)
 	t := tree.Build(delays, 4)
@@ -475,20 +465,11 @@ func BenchmarkTelemetryEnabled(b *testing.B) {
 	b.ReportMetric(float64(pebbles), "pebbles/op")
 }
 
-// BenchmarkFaultQueryOff guards the zero-cost-when-disabled contract of
-// the fault layer: Config.Faults nil (the default) must leave no regime
-// query on the hot path — the engine checks one pointer per run, not per
-// injection. CI gates this at 2% PR-over-PR via benchcmp -diff-latest
-// (make bench-fault-gate), mirroring the telemetry-disabled gate.
-func BenchmarkFaultQueryOff(b *testing.B) {
-	benchEngine(b, 0)
-}
-
 // BenchmarkFaultQueryOn pays for a live plan carrying every regime kind at
 // once (jitter, outage, Pareto spikes, a moving drift stripe and link
 // churn), so every injection consults ExtraDelay and LinkDown across the
-// full interval-scan path. Compare against BenchmarkFaultQueryOff to price
-// the adversary.
+// full interval-scan path. Compare against BenchmarkEngineSequential (the
+// same run with no plan) to price the adversary.
 func BenchmarkFaultQueryOn(b *testing.B) {
 	delays := nowLine(1024, 3)
 	t := tree.Build(delays, 4)

@@ -83,13 +83,6 @@ func main() {
 	}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func usage() {
 	fmt.Fprintln(os.Stderr, `latencysim <command> [flags]
 

@@ -379,12 +379,13 @@ func newChunk(cfg *Config, rt *routeTable, lo, hi int) *chunk {
 		}
 		return l
 	}
+	bw := cfg.bandwidth()
 	for pos := lo; pos < hi; pos++ {
 		if pos < n-1 {
-			c.right[pos-lo] = presize(&dlink{delay: cfg.Delays[pos], bw: cfg.linkBandwidth(pos)}, rt.crossAt(rt.crossR, pos))
+			c.right[pos-lo] = presize(&dlink{delay: cfg.Delays[pos], bw: bw}, rt.crossAt(rt.crossR, pos))
 		}
 		if pos > 0 {
-			c.left[pos-lo] = presize(&dlink{delay: cfg.Delays[pos-1], bw: cfg.linkBandwidth(pos - 1)}, rt.crossAt(rt.crossL, pos-1))
+			c.left[pos-lo] = presize(&dlink{delay: cfg.Delays[pos-1], bw: bw}, rt.crossAt(rt.crossL, pos-1))
 		}
 	}
 	// Boundary outboxes (parallel engine): size for a few steps' worth of

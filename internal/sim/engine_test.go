@@ -311,26 +311,6 @@ func TestMaxStepsExceeded(t *testing.T) {
 	}
 }
 
-func TestPerProcCollection(t *testing.T) {
-	a, _ := assign.SingleCopyBlocks(4, 8)
-	res, err := Run(Config{
-		Delays:         unitDelays(4),
-		Guest:          guest.Spec{Graph: guest.NewLinearArray(8), Steps: 3, Seed: 1},
-		Assign:         a,
-		CollectPerProc: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum int64
-	for _, c := range res.PerProcComputed {
-		sum += c
-	}
-	if sum != res.PebblesComputed || len(res.PerProcComputed) != 4 {
-		t.Fatalf("per-proc %v vs total %d", res.PerProcComputed, res.PebblesComputed)
-	}
-}
-
 func TestRouteTableProperties(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 30; trial++ {
@@ -497,59 +477,6 @@ func TestHighWorkerCountClamped(t *testing.T) {
 	}
 	if !res.Checked {
 		t.Fatal("clamped worker run failed")
-	}
-}
-
-// Per-link bandwidth overrides: the star-burst crossing a link obeys that
-// link's own capacity, not the global default.
-func TestPerLinkBandwidth(t *testing.T) {
-	p, d := 8, 6
-	adj := make([][]int, p+1)
-	consumer := p
-	for i := 0; i < p; i++ {
-		adj[i] = []int{consumer}
-		adj[consumer] = append(adj[consumer], i)
-	}
-	g := guest.NewCustom("star", adj)
-	owned := [][]int{make([]int, p), {consumer}}
-	for i := 0; i < p; i++ {
-		owned[0][i] = i
-	}
-	a, err := assign.FromOwned(2, p+1, owned)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, linkBW := range []int{1, 2, 4} {
-		res, err := Run(Config{
-			Delays:         []int{d},
-			Guest:          guest.Spec{Graph: g, Steps: 2, Seed: 1},
-			Assign:         a,
-			Bandwidth:      99, // global default is wide; the link override narrows it
-			LinkBandwidth:  []int{linkBW},
-			ComputePerStep: p + 1,
-			Check:          true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := int64(1 + d + (p+linkBW-1)/linkBW - 1)
-		if res.HostSteps != want {
-			t.Fatalf("linkBW=%d: host steps %d want %d", linkBW, res.HostSteps, want)
-		}
-	}
-	// validation
-	bad := Config{
-		Delays:        []int{1, 1},
-		Guest:         guest.Spec{Graph: guest.NewLinearArray(3), Steps: 1},
-		Assign:        mustBlocks(t, 3, 3),
-		LinkBandwidth: []int{1},
-	}
-	if _, err := Run(bad); err == nil {
-		t.Fatal("wrong-length LinkBandwidth accepted")
-	}
-	bad.LinkBandwidth = []int{1, -2}
-	if _, err := Run(bad); err == nil {
-		t.Fatal("negative bandwidth accepted")
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"latencyhide/internal/assign"
 	"latencyhide/internal/fault"
 	"latencyhide/internal/guest"
+	"latencyhide/internal/obs"
 	"latencyhide/internal/telemetry"
 )
 
@@ -257,16 +258,26 @@ func TestStallQueuedCrashFinishes(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{
-		Delays:         []int{2, 5, 1, 7, 3, 2, 4},
-		Guest:          guest.Spec{Graph: guest.NewLinearArray(a.Columns), Steps: 8, Seed: 17},
-		Assign:         a,
-		MaxSteps:       1 << 40,
-		Check:          true,
-		CollectPerProc: true,
-		Faults:         &fault.Plan{Seed: 1, Crashes: []fault.Crash{{Host: host, Step: crashStep}}},
+		Delays:   []int{2, 5, 1, 7, 3, 2, 4},
+		Guest:    guest.Spec{Graph: guest.NewLinearArray(a.Columns), Steps: 8, Seed: 17},
+		Assign:   a,
+		MaxSteps: 1 << 40,
+		Check:    true,
+		Faults:   &fault.Plan{Seed: 1, Crashes: []fault.Crash{{Host: host, Step: crashStep}}},
 	}
 	res := runBoth(t, cfg, "late crash")
-	if full := int64(len(a.Owned[host]) * cfg.Guest.Steps); res.PerProcComputed[host] >= full {
+	buf := obs.NewBuffer()
+	cfg.Recorder = buf
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	var computed int
+	for _, e := range buf.Events() {
+		if e.Kind == obs.KindCompute && int(e.Proc) == host {
+			computed++
+		}
+	}
+	if full := len(a.Owned[host]) * cfg.Guest.Steps; computed >= full {
 		t.Fatalf("crash host computed all %d pebbles; the run never needed the write-off", full)
 	}
 	if res.HostSteps >= crashStep {

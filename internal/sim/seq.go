@@ -134,14 +134,6 @@ func collect(cfg *Config, chunks []*chunk) (*Result, error) {
 	if dups > 0 {
 		return nil, fmt.Errorf("sim: %d duplicate deliveries (routing bug)", dups)
 	}
-	if cfg.CollectPerProc {
-		res.PerProcComputed = make([]int64, cfg.hostN())
-		for _, c := range chunks {
-			for i := range c.procs {
-				res.PerProcComputed[c.procs[i].pos] = c.procs[i].computed
-			}
-		}
-	}
 	if cfg.ast != nil {
 		res.AdaptActivations = len(cfg.ast.decisions)
 	}

@@ -52,10 +52,6 @@ type Config struct {
 	// step. Zero means the paper's high-bandwidth assumption,
 	// max(1, ceil(log2 hostN)).
 	Bandwidth int
-	// LinkBandwidth optionally overrides Bandwidth per link: entry i
-	// applies to both directions of link (i, i+1); zero entries fall back
-	// to Bandwidth. Must be empty or len(Delays) long.
-	LinkBandwidth []int
 	// ComputePerStep is how many pebbles one workstation computes per
 	// step; zero means 1 (the paper's model).
 	ComputePerStep int
@@ -67,8 +63,6 @@ type Config struct {
 	// Check verifies every database replica's final digest against the
 	// sequential reference executor.
 	Check bool
-	// CollectPerProc retains per-workstation compute counts in the result.
-	CollectPerProc bool
 	// Recorder, when non-nil, receives the run's structured event stream
 	// (package obs). Both engines buffer events per chunk and replay the
 	// merged stream in canonical order after the run, so the same Recorder
@@ -109,14 +103,6 @@ func (c *Config) bandwidth() int {
 		return c.Bandwidth
 	}
 	return max(1, network.Log2Ceil(c.hostN()))
-}
-
-// linkBandwidth resolves the effective bandwidth of link (i, i+1).
-func (c *Config) linkBandwidth(i int) int {
-	if i < len(c.LinkBandwidth) && c.LinkBandwidth[i] > 0 {
-		return c.LinkBandwidth[i]
-	}
-	return c.bandwidth()
 }
 
 func (c *Config) computePerStep() int {
@@ -163,15 +149,6 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("sim: link %d has delay %d < 1", i, d)
 		}
 	}
-	if len(c.LinkBandwidth) != 0 && len(c.LinkBandwidth) != len(c.Delays) {
-		return fmt.Errorf("sim: LinkBandwidth has %d entries for %d links",
-			len(c.LinkBandwidth), len(c.Delays))
-	}
-	for i, b := range c.LinkBandwidth {
-		if b < 0 {
-			return fmt.Errorf("sim: link %d has bandwidth %d < 0", i, b)
-		}
-	}
 	if err := c.Assign.Validate(); err != nil {
 		return err
 	}
@@ -211,8 +188,6 @@ type Result struct {
 	// AdaptActivations is how many standby replicas the adaptive controller
 	// activated (0 unless Config.Adapt is enabled).
 	AdaptActivations int
-
-	PerProcComputed []int64 // only when CollectPerProc
 }
 
 // ObsInfo builds the static run facts package obs's instruments need
@@ -232,7 +207,7 @@ func (c *Config) ObsInfo(res *Result) obs.RunInfo {
 		info.HostSteps = res.HostSteps
 	}
 	for i := range c.Delays {
-		info.LinkBW[i] = c.linkBandwidth(i)
+		info.LinkBW[i] = c.bandwidth()
 	}
 	for p := 0; p < n; p++ {
 		info.ProcPebbles[p] = int64(len(c.Assign.Owned[p])) * int64(c.Guest.Steps)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"latencyhide/internal/assign"
+	"latencyhide/internal/fault"
 	"latencyhide/internal/guest"
 	"latencyhide/internal/telemetry"
 )
@@ -132,5 +133,56 @@ func TestTelemetryParallelBoundaryMetrics(t *testing.T) {
 	if res2.HostSteps != res.HostSteps || res2.PebblesComputed != res.PebblesComputed ||
 		res2.MessageHops != res.MessageHops {
 		t.Errorf("telemetry perturbed the run: %+v vs %+v", res, res2)
+	}
+}
+
+// TestDisabledLayersAttachNothing makes "disabled costs nothing" exact: with
+// a nil registry and a nil or empty fault plan, no chunk of either engine
+// holds a telemetry shard or a fault plan, so the hot path pays only its
+// nil checks. With both layers on, every chunk holds both.
+func TestDisabledLayersAttachNothing(t *testing.T) {
+	const hostN, cols = 16, 32
+	a, err := assign.ReplicatedBlocks(hostN, cols, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := Config{
+		Delays: delaysOf(hostN, 2),
+		Guest:  guest.Spec{Graph: guest.NewLinearArray(cols), Steps: 8, Seed: 3},
+		Assign: a,
+	}
+	// chunks builds what each engine runs, set up as Run sets it up: the
+	// sequential engine's one chunk, then the parallel engine's four.
+	chunks := func(cfg Config) []*chunk {
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Telemetry != nil {
+			cfg.em = registerEngineMetrics(cfg.Telemetry)
+		}
+		rt := buildRoutes(cfg.Guest.Graph, cfg.Assign, nil, nil)
+		out := []*chunk{newChunk(&cfg, rt, 0, hostN)}
+		cuts := splitPositionsWork(cfg.Delays, nil, 4)
+		for i := 0; i+1 < len(cuts); i++ {
+			out = append(out, newChunk(&cfg, rt, cuts[i], cuts[i+1]))
+		}
+		return out
+	}
+	for _, plan := range []*fault.Plan{nil, {}, {Seed: 9}} {
+		cfg := base
+		cfg.Faults = plan
+		for _, c := range chunks(cfg) {
+			if c.tel != nil || c.faults != nil {
+				t.Fatalf("plan %+v: chunk [%d,%d) holds tel=%v faults=%v", plan, c.lo, c.hi, c.tel, c.faults)
+			}
+		}
+	}
+	on := base
+	on.Telemetry = telemetry.NewRegistry()
+	on.Faults = &fault.Plan{Seed: 9, Jitters: []fault.Jitter{{Link: -1, Prob: 0.5, Amp: 2}}}
+	for _, c := range chunks(on) {
+		if c.tel == nil || c.faults == nil {
+			t.Fatalf("enabled layers: chunk [%d,%d) holds tel=%v faults=%v", c.lo, c.hi, c.tel, c.faults)
+		}
 	}
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // ManifestSchema identifies the manifest format; bump the suffix on
-// incompatible changes so downstream tooling (sweep results stores,
-// benchcmp-style differs) can dispatch.
+// incompatible changes so downstream tooling (sweep result stores,
+// `latencysim manifest -check`) can dispatch.
 const ManifestSchema = "latencyhide/run-manifest/v1"
 
 // StallSummary is the stall-cause tiling of a recorded run (see

@@ -377,10 +377,3 @@ func (t *Tree) CheckLemmas() error {
 	}
 	return walk(t.Root)
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
