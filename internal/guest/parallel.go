@@ -7,9 +7,10 @@ import (
 
 // RunDigestParallel is RunDigest with row-level parallelism: within one
 // guest step every cell depends only on the previous row, so the row is
-// sharded across workers goroutines (0 means GOMAXPROCS). Database updates
-// stay per-cell sequential, so results are bit-identical to RunDigest;
-// tests assert it. The host engines use it for verification of large runs.
+// sharded across workers goroutines (0 means GOMAXPROCS; rows under 256
+// cells run on one). Database updates stay per-cell sequential, so the
+// result does not depend on the worker count; tests assert it. The host
+// engines use it for verification of large runs.
 func RunDigestParallel(spec Spec, workers int) (*DigestResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -18,12 +19,10 @@ func RunDigestParallel(spec Spec, workers int) (*DigestResult, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > m {
-		workers = m
+	if m < 256 {
+		workers = 1
 	}
-	if workers <= 1 || m < 256 {
-		return RunDigest(spec)
-	}
+	workers = min(workers, m)
 	factory := spec.Factory()
 	dbs := make([]Database, m)
 	for i := range dbs {
@@ -34,6 +33,19 @@ func RunDigestParallel(spec Spec, workers int) (*DigestResult, error) {
 	for i := range prev {
 		prev[i] = spec.InitialValue(i)
 	}
+	// row computes cells [lo, hi) of step t from prev into next.
+	row := func(lo, hi, t int) {
+		var scratch [8]uint64
+		for i := lo; i < hi; i++ {
+			nv := scratch[:0]
+			for _, j := range spec.Graph.Neighbors(i) {
+				nv = append(nv, prev[j])
+			}
+			v := spec.Compute(dbs[i].Digest(), i, t, prev[i], nv)
+			next[i] = v
+			dbs[i].Apply(Update{Node: i, Step: t, Val: v})
+		}
+	}
 
 	// static sharding: worker w owns cells [bounds[w], bounds[w+1])
 	bounds := make([]int, workers+1)
@@ -41,33 +53,26 @@ func RunDigestParallel(spec Spec, workers int) (*DigestResult, error) {
 		bounds[w] = w * m / workers
 	}
 	var wg sync.WaitGroup
-	var work int64
 	for t := 1; t <= spec.Steps; t++ {
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(lo, hi, t int) {
-				defer wg.Done()
-				var scratch [8]uint64
-				for i := lo; i < hi; i++ {
-					nv := scratch[:0]
-					for _, j := range spec.Graph.Neighbors(i) {
-						nv = append(nv, prev[j])
-					}
-					v := spec.Compute(dbs[i].Digest(), i, t, prev[i], nv)
-					next[i] = v
-					dbs[i].Apply(Update{Node: i, Step: t, Val: v})
-				}
-			}(bounds[w], bounds[w+1], t)
+		if workers == 1 {
+			row(0, m, t)
+		} else {
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(lo, hi int) {
+					defer wg.Done()
+					row(lo, hi, t)
+				}(bounds[w], bounds[w+1])
+			}
+			wg.Wait()
 		}
-		wg.Wait()
 		prev, next = next, prev
-		work += int64(m)
 	}
 
 	out := &DigestResult{
 		LastRow:      append([]uint64(nil), prev...),
 		FinalDigests: make([]uint64, m),
-		Work:         work,
+		Work:         int64(m) * int64(spec.Steps),
 	}
 	h := uint64(0x9216d5d98979fb1b)
 	for i, db := range dbs {

@@ -134,52 +134,8 @@ type DigestResult struct {
 
 // RunDigest executes the guest computation keeping only two rows of pebbles,
 // returning the final row and database digests. Suitable for large sweeps
-// where storing the full grid would dominate memory.
+// where storing the full grid would dominate memory. It is
+// RunDigestParallel on one worker.
 func RunDigest(spec Spec) (*DigestResult, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	m := spec.Graph.NumNodes()
-	factory := spec.Factory()
-	dbs := make([]Database, m)
-	for i := range dbs {
-		dbs[i] = factory(i, spec.Seed)
-	}
-	prev := make([]uint64, m)
-	next := make([]uint64, m)
-	for i := range prev {
-		prev[i] = spec.InitialValue(i)
-	}
-	var scratch [8]uint64
-	var work int64
-	for t := 1; t <= spec.Steps; t++ {
-		for i := 0; i < m; i++ {
-			nv := scratch[:0]
-			for _, j := range spec.Graph.Neighbors(i) {
-				nv = append(nv, prev[j])
-			}
-			v := spec.Compute(dbs[i].Digest(), i, t, prev[i], nv)
-			next[i] = v
-			dbs[i].Apply(Update{Node: i, Step: t, Val: v})
-		}
-		prev, next = next, prev
-		work += int64(m)
-	}
-	out := &DigestResult{
-		LastRow:      append([]uint64(nil), prev...),
-		FinalDigests: make([]uint64, m),
-		Work:         work,
-	}
-	h := uint64(0x9216d5d98979fb1b)
-	for i, db := range dbs {
-		out.FinalDigests[i] = db.Digest()
-	}
-	for _, v := range out.LastRow {
-		h = combine(h, v)
-	}
-	for _, v := range out.FinalDigests {
-		h = combine(h, v)
-	}
-	out.Checksum = h
-	return out, nil
+	return RunDigestParallel(spec, 1)
 }

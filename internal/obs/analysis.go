@@ -428,11 +428,8 @@ func (a *Analysis) LinkGauges() []LinkGauge {
 		}
 		return i
 	}
+	bw := a.Info.Bandwidth
 	for i := 0; i < n; i++ {
-		bw := 1
-		if i < len(a.Info.LinkBW) && a.Info.LinkBW[i] > 0 {
-			bw = a.Info.LinkBW[i]
-		}
 		gauges[2*i] = LinkGauge{Link: i, Dir: 1, Delay: a.Info.Delays[i], BW: bw}
 		gauges[2*i+1] = LinkGauge{Link: i, Dir: -1, Delay: a.Info.Delays[i], BW: bw}
 	}

@@ -295,10 +295,11 @@ type RunInfo struct {
 	HostN      int
 	HostSteps  int64
 	GuestSteps int
-	// Delays[i] is the delay of line link (i, i+1); LinkBW[i] its per-step
-	// injection bandwidth (resolved, both directions).
+	// Delays[i] is the delay of line link (i, i+1).
 	Delays []int
-	LinkBW []int
+	// Bandwidth is every directed link's per-step injection bandwidth B
+	// (resolved).
+	Bandwidth int
 	// ProcPebbles[p] is the total pebbles assigned to position p
 	// (owned columns x guest steps).
 	ProcPebbles []int64

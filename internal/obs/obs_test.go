@@ -256,7 +256,7 @@ func TestSummaryJSON(t *testing.T) {
 
 // Degenerate inputs: an empty stream must not panic anywhere.
 func TestEmptyStream(t *testing.T) {
-	info := obs.RunInfo{HostN: 4, Delays: []int{1, 1, 1}, LinkBW: []int{1, 1, 1},
+	info := obs.RunInfo{HostN: 4, Delays: []int{1, 1, 1}, Bandwidth: 1,
 		ProcPebbles: make([]int64, 4), Neighbors: func(int) []int { return nil }}
 	a := obs.Analyze(nil, info)
 	if sb := a.Stalls(); sb.Busy != 0 || sb.Stalled() != 0 {

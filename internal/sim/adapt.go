@@ -2,8 +2,6 @@ package sim
 
 import (
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"latencyhide/internal/adapt"
 	"latencyhide/internal/obs"
@@ -35,9 +33,9 @@ import (
 // pure function of the (bit-identical) simulation at steps <= E; the
 // candidate order is canonical; and both engines run the controller at the
 // exact same point — the sequential engine when its clock first passes E,
-// the parallel engine at a barrier all workers reach with their clocks at
-// exactly E+1 (see epochGate below). So adaptive runs stay bit-identical
-// across engines and worker counts.
+// the parallel engine in its gate, once every worker waits there with its
+// clock at exactly E+1 (see gate in parallel.go). So adaptive runs stay
+// bit-identical across engines and worker counts.
 type adaptState struct {
 	policy    *adapt.Policy
 	placement [][]int      // per column: standby hosts, ascending
@@ -45,8 +43,8 @@ type adaptState struct {
 	dead      map[int]bool // crash-stop hosts (excluded from placement)
 
 	// Controller state. Only one goroutine touches it at a time: the
-	// sequential engine inline, the parallel engine's last barrier arriver
-	// with the gate providing the happens-before edges.
+	// sequential engine inline, the parallel engine's filling gate arrival
+	// with the gate mutex providing the happens-before edges.
 	budget    int
 	decisions []adapt.Decision
 }
@@ -75,7 +73,7 @@ func newAdaptState(cfg *Config, crashed []int) *adaptState {
 // have simulated exactly the steps <= E (clock at E+1), so the harvested
 // blame is identical in both engines. Returns the pebbles added to the
 // chunks' remaining counters; the parallel caller mirrors them into its
-// global counter.
+// shared counter.
 func (a *adaptState) atBoundary(boundary int64, chunks []*chunk) int64 {
 	var cands []adapt.Candidate
 	if a.budget > 0 {
@@ -261,81 +259,4 @@ func (a *adaptState) adaptEvents() []obs.Event {
 		})
 	}
 	return events
-}
-
-// epochGate is the parallel engine's epoch barrier. Workers arrive with
-// their clocks at exactly boundary+1 (the horizon is capped there, so no
-// chunk simulates past a boundary before the controller runs); the last
-// arriver runs the controller over all chunks and releases the rest. While
-// waiting, a worker keeps draining its boundary rings (with its idle flag
-// raised so producers' wakes reach it) — otherwise a neighbor still
-// running toward the barrier could fill a ring and spin forever on a
-// worker that will never drain again.
-//
-// The gate is also where adaptive runs terminate: before running the
-// controller, the last arriver checks global quiescence — pebble counter
-// zero, every chunk quiescent, every boundary ring empty — and declares
-// the run over instead. The check must mirror the sequential engine's rule
-// (terminate at the first point past quiescence WITHOUT running the
-// controller there), so it scans live state rather than trusting
-// arrival-time votes: a worker that was quiescent when it arrived may have
-// drained a neighbor's pre-barrier traffic while waiting, and a stale vote
-// would then either terminate with work in flight or run the controller at
-// a boundary the sequential engine never reaches (residual blame — e.g. a
-// crashed column's permanently open blocked span — would activate standbys
-// in one engine only). The scan is safe because every waiter is parked and
-// only mutates its chunk inside drainBarrier, under this same mutex.
-type epochGate struct {
-	chunks  []*chunk
-	workers []*worker // set once the workers exist, before any goroutine runs
-
-	mu      sync.Mutex
-	n       int
-	arrived int
-	release chan struct{}
-}
-
-func newEpochGate(n int, chunks []*chunk) *epochGate {
-	return &epochGate{n: n, chunks: chunks, release: make(chan struct{})}
-}
-
-// arrive registers one worker at the barrier. The last arriver gets
-// last=true and owns the terminal check, the controller and closing rel;
-// everyone else waits on rel. The mutex hand-off orders every worker's
-// chunk writes before the controller's reads, and the channel close orders
-// the controller's writes before the released workers' reads.
-func (g *epochGate) arrive() (last bool, rel chan struct{}) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.arrived++
-	rel = g.release
-	if g.arrived == g.n {
-		g.arrived = 0
-		g.release = make(chan struct{})
-		return true, rel
-	}
-	return false, rel
-}
-
-// terminal is the last arriver's global-quiescence check for the boundary
-// all workers are parked at. All chunk and ring writes are ordered before
-// this read: simulating workers' writes by their arrive(), waiters' drains
-// by drainBarrier — both through g.mu.
-func (g *epochGate) terminal(global *int64) bool {
-	if atomic.LoadInt64(global) != 0 {
-		return false
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return settled(g.workers)
-}
-
-// drainBarrier drains w's inbound rings while w waits at the barrier. The
-// gate mutex both keeps the drain's chunk writes exclusive with the last
-// arriver's terminal scan and controller run, and orders them for whoever
-// takes the mutex next.
-func (g *epochGate) drainBarrier(w *worker) {
-	g.mu.Lock()
-	w.drainAll()
-	g.mu.Unlock()
 }

@@ -16,9 +16,9 @@ import (
 // on the Result and the canonical event stream for every new fault kind,
 // with and without adaptation.
 
-// runEngines mirrors runBoth but sweeps the worker counts the issue calls
-// out (1, 2, 4) — w=1 exercises the parallel scaffolding (barriers, rings,
-// epoch gate) with no actual concurrency, which is where boundary
+// runEngines mirrors runBoth but sweeps the worker counts 1, 2 and 4. One
+// worker runs the sequential engine; two and four run the parallel
+// engine's gate at every epoch boundary, which is where boundary
 // off-by-ones hide.
 func runEngines(t *testing.T, cfg Config, label string) *Result {
 	t.Helper()

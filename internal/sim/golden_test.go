@@ -202,10 +202,11 @@ func benchEngineConfig(t *testing.T) sim.Config {
 }
 
 // TestGoldenCounters pins the engines' exact work counters: the head of the
-// verify corpus on both engines, plus the engine benchmark's config on the
-// sequential engine. A change that moves the engine's work without touching
-// its event stream (say, waiter-node recycling) shows up here and not in
-// the digest file. Refresh it deliberately with
+// verify corpus on both engines, the engine benchmark's config on the
+// sequential engine, and a long-link config on both engines that reaches
+// the calendar's overflow heap. A change that moves the engine's work
+// without touching its event stream (say, waiter-node recycling) shows up
+// here and not in the digest file. Refresh it deliberately with
 //
 //	go test ./internal/sim -run TestGoldenCounters -update
 //
@@ -217,5 +218,35 @@ func TestGoldenCounters(t *testing.T) {
 		t.Fatalf("bench config: %v", err)
 	}
 	fmt.Fprintf(out, "# bench: OVERLAP two-level on a 1024-host bimodal line, 64 steps\nbench seq %s\n", line)
+	long := longLinkConfig(t)
+	fmt.Fprintf(out, "# long: single-copy blocks on a 16-host line whose link 3 has delay 600, 6 steps\n")
+	for _, e := range []struct {
+		name    string
+		workers int
+	}{{"seq", 0}, {"par", 2}} {
+		long.Workers = e.workers
+		if line, err = countersLine(long); err != nil {
+			t.Fatalf("long-link config %s: %v", e.name, err)
+		}
+		fmt.Fprintf(out, "long %s %s\n", e.name, line)
+	}
 	compareGolden(t, countersFile, out.Bytes())
+}
+
+// longLinkConfig has one link whose delay, 600, exceeds the calendar ring's
+// 512-step span, so the arrivals it schedules spill into the overflow heap.
+// The link lies inside the first of two chunks, out of the cut's nudge
+// window, so both engines schedule those arrivals at the sending chunk's
+// own clock and the overflow counts do not depend on thread timing.
+func longLinkConfig(t *testing.T) sim.Config {
+	t.Helper()
+	a, err := assign.SingleCopyBlocks(16, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sim.Config{
+		Delays: []int{1, 2, 1, 600, 2, 1, 3, 1, 2, 1, 3, 2, 1, 2, 1},
+		Guest:  guest.Spec{Graph: guest.NewLinearArray(a.Columns), Steps: 6, Seed: 7},
+		Assign: a,
+	}
 }

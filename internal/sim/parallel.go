@@ -17,7 +17,7 @@ import (
 // clock is at step s cannot send anything that arrives before s + d_boundary,
 // so its neighbor may safely simulate up to that horizon.
 //
-// v2 replaces v1's per-slice channel protocol with three mechanisms:
+// v2 replaces v1's per-slice channel protocol with four mechanisms:
 //
 //   - Work-balanced cuts: splitPositionsWork places cut i at the i-th work
 //     quantile of the per-host pebble counts (not the i-th host quantile),
@@ -40,11 +40,12 @@ import (
 //     side; publish, load-idle, signal on the other — the classic Dekker
 //     handshake, so wakeups are never lost under seq-cst atomics).
 //
-//   - A quiet gate for stall detection: a worker with nothing left to
-//     simulate waits in a shared gate instead of parking alone, and the
-//     arrival that fills the gate checks whether the whole run is stuck
-//     (see quietGate). The verdict depends only on simulation state, never
-//     on wall-clock time.
+//   - One gate: a worker that cannot advance on its own (its clock at the
+//     adaptive epoch cap, or, in a plain run, no event left in its chunk)
+//     waits in a shared gate instead of parking alone. The arrival that
+//     fills the gate decides, from simulation state alone and never from
+//     wall-clock time, whether the run is over, the next epoch may start,
+//     or the run has stalled (see gate).
 //
 // Bit-identity with the sequential engine is preserved because coalescing
 // only delays *transport*, never reorders *simulation*: a batch held after a
@@ -92,40 +93,34 @@ type side struct {
 type worker struct {
 	c           *chunk
 	left, right *side // nil at the line ends
+	run         *run
 
 	idle   atomic.Bool
 	notify chan struct{} // 1-slot wakeup, paired with idle (Dekker handshake)
-
-	global   *int64 // remaining pebbles across all chunks
-	done     chan struct{}
-	doneOnce *sync.Once
-	errMu    *sync.Mutex
-	err      *error
-
-	// Adaptive replication (nil ast disables): workers cap their horizons
-	// at nextB+1 and synchronise at gate so the controller sees every chunk
-	// at exactly the epoch boundary. See adapt.go.
-	ast   *adaptState
-	gate  *epochGate
-	nextB int64
-
-	// quiet is the stall-detection gate of non-adaptive runs (nil when
-	// adaptive: the epoch gate and the step cap bound those).
-	quiet *quietGate
 }
 
-func (w *worker) setErr(e error) {
-	w.errMu.Lock()
-	if *w.err == nil {
-		*w.err = e
-	}
-	w.errMu.Unlock()
-	w.doneOnce.Do(func() { close(w.done) })
+// run is the state every worker of one parallel run shares.
+type run struct {
+	remaining atomic.Int64  // pebbles left across all chunks
+	done      chan struct{} // closed when the run ends, for any reason
+	doneOnce  sync.Once
+	err       error // why the run ended early; written once, by end
+	gate      gate
 }
 
-func (w *worker) isDone() bool {
+// end ends the run with err (nil: finished). The first ending wins, as in
+// the sequential engine, which checks for the last pebble before its step
+// cap.
+func (r *run) end(err error) {
+	r.doneOnce.Do(func() {
+		r.err = err
+		close(r.done)
+	})
+}
+
+func (r *run) isDone() bool {
 	select {
-	case <-w.done:
+	case <-r.done:
 		return true
 	default:
 		return false
@@ -203,7 +198,7 @@ func (w *worker) flushSide(s *side, force bool) bool {
 		return true
 	}
 	for !s.out.push(batch) {
-		if w.isDone() {
+		if w.run.isDone() {
 			return false
 		}
 		if tel := w.c.tel; tel != nil {
@@ -278,23 +273,24 @@ func (w *worker) recordClockLag() {
 	}
 }
 
-// runUntil simulates local steps strictly below h, decrementing the global
+// runUntil simulates local steps strictly below h, decrementing the shared
 // remaining counter as pebbles complete. Returns false on error.
 func (w *worker) runUntil(h, maxSteps int64) bool {
 	c := w.c
 	for c.now < h {
 		if c.now > maxSteps {
-			w.setErr(fmt.Errorf("sim: parallel chunk [%d,%d) exceeded step cap %d: %s",
+			w.run.end(fmt.Errorf("sim: parallel chunk [%d,%d) exceeded step cap %d: %s",
 				c.lo, c.hi, maxSteps, frontier(c)))
 			return false
 		}
 		before := c.remaining
 		did := c.step()
 		if delta := before - c.remaining; delta > 0 {
-			// Adaptive runs keep going past the last pebble to drain
-			// standby-bound traffic; termination is the epoch gate's call.
-			if atomic.AddInt64(w.global, -delta) == 0 && w.ast == nil {
-				w.doneOnce.Do(func() { close(w.done) })
+			// A plain run ends at its last pebble, like the sequential
+			// engine. An adaptive run keeps going to drain standby-bound
+			// traffic, and the gate ends it.
+			if w.run.remaining.Add(-delta) == 0 && w.run.gate.ast == nil {
+				w.run.end(nil)
 			}
 		}
 		if did {
@@ -314,24 +310,17 @@ func (w *worker) runUntil(h, maxSteps int64) bool {
 }
 
 func (w *worker) loop(maxSteps int64) {
-	for {
-		if w.ast == nil && atomic.LoadInt64(w.global) == 0 {
-			return
-		}
-		if w.isDone() {
-			return // quiescent termination, a stall or another error
-		}
+	// The epoch cap: no chunk simulates past an epoch boundary before the
+	// controller has run there, which is what makes the parallel engine's
+	// activation points identical to the sequential engine's. A plain run
+	// is an adaptive run whose cap never arrives. Only the filling arrival
+	// moves the gate's cap, and not before this worker is inside.
+	limit := w.run.gate.limit
+	for !w.run.isDone() { // finished, stalled, or another error
 		// Sample clocks before draining: any batch covering a clock we
 		// read was pushed before that clock was published, so the drain
 		// below observes it and nothing within the horizon is missed.
-		h := w.horizon()
-		if w.ast != nil && h > w.nextB+1 {
-			// Never simulate past an epoch boundary before the controller
-			// has run there: the adaptive horizon cap is what makes the
-			// parallel engine's activation points identical to the
-			// sequential engine's.
-			h = w.nextB + 1
-		}
+		h := min(w.horizon(), limit)
 		w.drainAll()
 		w.recordClockLag()
 		if w.c.now < h {
@@ -340,43 +329,32 @@ func (w *worker) loop(maxSteps int64) {
 			}
 			continue
 		}
-		if w.ast != nil && w.c.now == w.nextB+1 {
-			// At the epoch boundary with steps <= nextB fully simulated.
-			// Ship and promise everything first so neighbors still running
-			// toward the boundary can reach it, then synchronise.
-			if !w.ship(true) || !w.epochBarrier() {
-				return
-			}
-			w.nextB += int64(w.ast.policy.Epoch)
-			continue
-		}
-		// Blocked at the horizon: everything we hold is due — ship it,
-		// promise our current clock (the demand-driven null message), then
-		// park until a neighbor publishes or the run ends.
+		// Blocked at the horizon: everything we hold is due — ship it and
+		// promise our current clock (the demand-driven null message).
 		if !w.ship(true) {
 			return
 		}
-		if w.quiet != nil {
-			if _, ok := w.c.nextEvent(); !ok {
-				if !w.waitQuiet() {
-					return
-				}
-				continue
+		// A worker that cannot advance on its own waits in the gate: at
+		// the epoch cap, or with no event left in a plain run's chunk.
+		// Anyone else parks until a neighbor publishes or the run ends.
+		_, busy := w.c.nextEvent()
+		if w.c.now == limit || limit == farFuture && !busy {
+			var ok bool
+			if limit, ok = w.wait(limit); !ok {
+				return
 			}
+			continue
 		}
 		w.idle.Store(true)
-		if w.horizon() > w.c.now || w.pendingInput() || w.isDone() {
+		if w.horizon() > w.c.now || w.pendingInput() || w.run.isDone() {
 			w.idle.Store(false)
-			if w.isDone() && atomic.LoadInt64(w.global) != 0 {
-				return // a stall or another error
-			}
 			continue
 		}
 		w.recordClockLag()
 		woke := w.park()
 		w.idle.Store(false)
 		if !woke {
-			return // global hit zero, or a stall or another error surfaced
+			return
 		}
 	}
 }
@@ -394,7 +372,7 @@ func (w *worker) park() bool {
 	woke := true
 	select {
 	case <-w.notify:
-	case <-w.done:
+	case <-w.run.done:
 		woke = false
 	}
 	if tel != nil {
@@ -406,73 +384,93 @@ func (w *worker) park() bool {
 	return woke
 }
 
-// waitQuiet holds a worker whose chunk has no next event in the quiet gate.
-// It returns true, after leaving the gate, once a neighbor's batch is
-// pending, and false when the run has ended. While held the worker still
-// answers its neighbors' clocks: with nothing to simulate, its clock may
-// jump to its horizon, exactly as runUntil would jump it. The horizon is
-// read before the rings are checked, so any batch arriving before that
-// horizon is already visible (its push preceded the clock it covers) and
-// keeps the clock where it is.
-func (w *worker) waitQuiet() bool {
-	if err := w.quiet.arrive(w.global); err != nil {
-		w.setErr(err)
-		return false
-	}
+// gate is the parallel engine's one rendezvous. A worker enters it when it
+// cannot advance on its own and leaves it, under the mutex and before
+// draining, only when a neighbor's batch is pending or the epoch it waited
+// at has been released. Inside, a worker never changes its chunk's event
+// state or any ring: it only moves its clock up to its horizon and
+// publishes, so its neighbors can still reach the same point. The arrival
+// that fills the gate therefore sees a fixed state, and decides (see
+// decide). Arrivals are counted per epoch: a release resets the count, so
+// a fast worker's next arrival cannot fill a gate that slow workers have
+// not left yet. DESIGN.md §5 gives the full argument.
+type gate struct {
+	mu      sync.Mutex
+	in      int         // workers inside, waiting at limit
+	limit   int64       // the epoch cap, boundary+1; farFuture in a plain run
+	ast     *adaptState // nil in a plain run
+	workers []*worker
+	chunks  []*chunk
+}
+
+// wait holds w in the gate, entered with its clock at most limit, until it
+// may move again. It returns the epoch cap to run toward next, or false once
+// the run is over.
+func (w *worker) wait(limit int64) (int64, bool) {
+	r, g := w.run, &w.run.gate
 	w.idle.Store(true)
 	defer w.idle.Store(false)
+	g.mu.Lock()
+	g.in++
+	if g.in == len(g.workers) && !r.decide() {
+		g.mu.Unlock()
+		return 0, false
+	}
+	g.mu.Unlock()
 	for {
-		h := w.horizon()
-		if w.pendingInput() {
-			w.quiet.leave()
-			return true
+		// The horizon is read before the rings, so any batch arriving
+		// below it is already visible (its push preceded the clock it
+		// covers) and makes w leave instead of moving its clock.
+		h := min(w.horizon(), limit)
+		g.mu.Lock()
+		if g.limit != limit { // released: the filling arrival reset the count
+			limit = g.limit
+			g.mu.Unlock()
+			return limit, true
 		}
+		if w.pendingInput() {
+			g.in--
+			g.mu.Unlock()
+			return limit, true
+		}
+		g.mu.Unlock()
 		if h > w.c.now {
 			w.c.now = h
 			w.ship(true) // the outboxes are empty: this only publishes
 		}
 		if !w.park() {
-			return false
+			return 0, false
 		}
 	}
 }
 
-// quietGate detects a stalled non-adaptive run without a timer. A worker
-// enters it when its chunk has no next event and leaves it, under the same
-// mutex, only when a neighbor's batch is pending and before draining it, so
-// a worker inside never changes its chunk's event state or any ring; it
-// only moves its clock. The arrival that fills the gate scans every chunk
-// and ring under the mutex: all settled with pebbles left is a stall, since
-// no one is left outside to send a batch. Every stalled run ends that way,
-// because a clock-only wake does not make a worker leave. DESIGN.md §5
-// gives the full argument.
-type quietGate struct {
-	mu      sync.Mutex
-	in      int
-	workers []*worker
-}
-
-// arrive counts one worker into the gate. The arrival that fills it returns
-// the stall error when the run is stuck.
-func (g *quietGate) arrive(global *int64) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.in++
-	if g.in < len(g.workers) || atomic.LoadInt64(global) == 0 || !settled(g.workers) {
-		return nil
+// decide is the verdict of the arrival that fills the gate, taken under
+// the gate mutex with every worker inside. With no pebbles left and
+// nothing able to move, the run is over: the adaptive analogue of the
+// sequential engine breaking out before its boundary branch. Otherwise an
+// adaptive run's clocks all sit at the cap, so the controller runs over
+// every chunk and the next epoch is released. A plain run with nothing
+// able to move has stalled. Reports whether the run goes on.
+func (r *run) decide() bool {
+	g := &r.gate
+	if r.remaining.Load() == 0 && settled(g.workers) {
+		r.end(nil)
+		return false
 	}
-	chunks := make([]*chunk, len(g.workers))
-	for i, wk := range g.workers {
-		chunks[i] = wk.c
+	if g.ast != nil {
+		r.remaining.Add(g.ast.atBoundary(g.limit-1, g.chunks))
+		g.limit += int64(g.ast.policy.Epoch)
+		g.in = 0
+		for _, wk := range g.workers {
+			wk.wake()
+		}
+		return true
 	}
-	return stallError("with every chunk quiet", chunks...)
-}
-
-// leave counts one worker out of the gate.
-func (g *quietGate) leave() {
-	g.mu.Lock()
-	g.in--
-	g.mu.Unlock()
+	if settled(g.workers) {
+		r.end(stallError("with every chunk quiet", g.chunks...))
+		return false
+	}
+	return true
 }
 
 // settled reports that no chunk can produce another event on its own and no
@@ -491,47 +489,6 @@ func settled(workers []*worker) bool {
 		}
 	}
 	return true
-}
-
-// epochBarrier synchronises every worker at epoch boundary w.nextB. The
-// last arriver first checks for global quiescence (no pebbles left, every
-// chunk quiescent, no batch in any boundary ring) and terminates the run
-// if so — the adaptive analogue of the sequential engine breaking out before
-// the boundary branch. Otherwise it runs the replication controller over all
-// chunks (mirroring any added pebbles into the global counter) and releases
-// the rest. Waiters raise their idle flag and keep draining their boundary
-// rings — under the gate mutex, so the quiescence check never races a
-// drain — so a neighbor still running toward the barrier can never wedge on
-// a full ring. Returns false when the run ended (quiescent termination or
-// an error).
-func (w *worker) epochBarrier() bool {
-	last, rel := w.gate.arrive()
-	if last {
-		if w.gate.terminal(w.global) {
-			w.doneOnce.Do(func() { close(w.done) })
-			close(rel)
-			return false
-		}
-		if added := w.ast.atBoundary(w.nextB, w.gate.chunks); added > 0 {
-			atomic.AddInt64(w.global, added)
-		}
-		close(rel)
-		return true
-	}
-	w.idle.Store(true)
-	w.gate.drainBarrier(w)
-	for {
-		select {
-		case <-rel:
-			w.idle.Store(false)
-			return !w.isDone()
-		case <-w.done:
-			w.idle.Store(false)
-			return false
-		case <-w.notify:
-			w.gate.drainBarrier(w)
-		}
-	}
 }
 
 // splitPositionsWork splits [0, n) into w contiguous chunks at the work
@@ -625,45 +582,25 @@ func runParallelWithCuts(cfg *Config, rt *routeTable, cuts []int) (*Result, erro
 		return runSequential(cfg, rt)
 	}
 	chunks := make([]*chunk, w)
-	var global int64
+	var total int64
 	for i := 0; i < w; i++ {
 		chunks[i] = newChunk(cfg, rt, cuts[i], cuts[i+1])
-		global += chunks[i].remaining
+		total += chunks[i].remaining
 	}
-	if global == 0 {
+	if total == 0 {
 		return collect(cfg, chunks)
 	}
 
-	done := make(chan struct{})
-	var doneOnce sync.Once
-	var errMu sync.Mutex
-	var firstErr error
-
-	var gate *epochGate
-	var quiet *quietGate
-	if cfg.ast != nil {
-		gate = newEpochGate(w, chunks)
-	} else {
-		quiet = &quietGate{}
-	}
+	r := &run{done: make(chan struct{})}
+	r.remaining.Store(total)
 	workers := make([]*worker, w)
-	for i := 0; i < w; i++ {
-		workers[i] = &worker{
-			c: chunks[i], global: &global, done: done, doneOnce: &doneOnce,
-			errMu: &errMu, err: &firstErr,
-			notify: make(chan struct{}, 1),
-			quiet:  quiet,
-		}
-		if cfg.ast != nil {
-			workers[i].ast = cfg.ast
-			workers[i].gate = gate
-			workers[i].nextB = int64(cfg.ast.policy.Epoch)
-		}
+	for i := range workers {
+		workers[i] = &worker{c: chunks[i], run: r, notify: make(chan struct{}, 1)}
 	}
-	if gate != nil {
-		gate.workers = workers // terminal() scans every boundary ring
-	} else {
-		quiet.workers = workers
+	g := &r.gate
+	g.limit, g.ast, g.workers, g.chunks = farFuture, cfg.ast, workers, chunks
+	if cfg.ast != nil {
+		g.limit = int64(cfg.ast.policy.Epoch) + 1
 	}
 	for i := 0; i < w-1; i++ {
 		d := int64(cfg.Delays[cuts[i+1]-1])
@@ -672,24 +609,24 @@ func runParallelWithCuts(cfg *Config, rt *routeTable, cuts []int) (*Result, erro
 		west := newSPSC[[]timedMsg](boundaryRingCap) // batches i+1 -> i
 		eastFree := newSPSC[[]timedMsg](freeRingCap)
 		westFree := newSPSC[[]timedMsg](freeRingCap)
-		r := &side{
+		rs := &side{
 			delay: d, window: win, fromLeft: false,
 			outbox: &chunks[i].outRight,
 			in:     west, out: east, free: eastFree, retire: westFree,
 			peer: workers[i+1], sentClock: 1,
 		}
-		l := &side{
+		ls := &side{
 			delay: d, window: win, fromLeft: true,
 			outbox: &chunks[i+1].outLeft,
 			in:     east, out: west, free: westFree, retire: eastFree,
 			peer: workers[i], sentClock: 1,
 		}
-		r.pub.Store(1) // all workers start at step 1
-		l.pub.Store(1)
-		r.peerClock = &l.pub
-		l.peerClock = &r.pub
-		workers[i].right = r
-		workers[i+1].left = l
+		rs.pub.Store(1) // all workers start at step 1
+		ls.pub.Store(1)
+		rs.peerClock = &ls.pub
+		ls.peerClock = &rs.pub
+		workers[i].right = rs
+		workers[i+1].left = ls
 	}
 
 	var wg sync.WaitGroup
@@ -707,13 +644,10 @@ func runParallelWithCuts(cfg *Config, rt *routeTable, cuts []int) (*Result, erro
 	}
 	wg.Wait()
 
-	errMu.Lock()
-	err := firstErr
-	errMu.Unlock()
-	if err != nil {
-		return nil, err
+	if r.err != nil {
+		return nil, r.err
 	}
-	if rem := atomic.LoadInt64(&global); rem != 0 {
+	if rem := r.remaining.Load(); rem != 0 {
 		return nil, fmt.Errorf("sim: parallel engine finished with %d pebbles remaining", rem)
 	}
 	return collect(cfg, chunks)

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"latencyhide/internal/adapt"
 	"latencyhide/internal/assign"
 	"latencyhide/internal/fault"
 	"latencyhide/internal/guest"
@@ -166,7 +167,7 @@ func seqFrontier(t *testing.T, cfg *Config, rt *routeTable) string {
 
 // checkStall runs the parallel engine over cuts and requires the stall
 // error with the sequential engine's frontier. MaxSteps is far out of
-// reach, so only the quiet gate can end the run.
+// reach, so only the gate's stall verdict can end the run.
 func checkStall(t *testing.T, cfg Config, rt *routeTable, cuts []int) {
 	t.Helper()
 	cfg.MaxSteps = 1 << 40
@@ -183,7 +184,7 @@ func checkStall(t *testing.T, cfg Config, rt *routeTable, cuts []int) {
 
 // TestStallCatchesDeadlock wires a genuinely deadlocked dataflow (an empty
 // route table, so boundary dependencies are never delivered) across two
-// chunks and checks the quiet gate reports the stall instead of hanging.
+// chunks and checks the gate reports the stall instead of hanging.
 func TestStallCatchesDeadlock(t *testing.T) {
 	a, err := assign.FromOwned(2, 2, [][]int{{0}, {1}})
 	if err != nil {
@@ -202,6 +203,40 @@ func TestStallCatchesDeadlock(t *testing.T) {
 	rt := newRouteShell(a)
 	rt.countCrossings(2, nil)
 	checkStall(t, cfg, rt, []int{0, 1, 2})
+}
+
+// TestStepCapEndsDeadAdaptiveRun gives the deadlock above an adaptive
+// policy. There a quiet run is no stall, since an activation at the next
+// epoch boundary may revive it, so both engines must run into the step cap
+// instead of hanging. On two chunks every epoch ends in the gate with every
+// chunk settled and pebbles left, and the gate releases the next epoch.
+func TestStepCapEndsDeadAdaptiveRun(t *testing.T) {
+	a, err := assign.FromOwned(2, 2, [][]int{{0}, {1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Delays:   []int{1},
+		Guest:    guest.Spec{Graph: guest.NewLinearArray(2), Steps: 2, Seed: 1},
+		Assign:   a,
+		Adapt:    &adapt.Policy{Epoch: 4, Threshold: 0.25, MaxExtra: 1, Budget: 1},
+		MaxSteps: 40,
+	}
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	cfg.ast = newAdaptState(&cfg, nil)
+	rt := newRouteShell(a)
+	rt.countCrossings(2, nil)
+	engines := map[string]func() (*Result, error){
+		"seq": func() (*Result, error) { return runSequential(&cfg, rt) },
+		"par": func() (*Result, error) { return runParallelWithCuts(&cfg, rt, []int{0, 1, 2}) },
+	}
+	for name, f := range engines {
+		if _, err := f(); err == nil || !strings.Contains(err.Error(), "exceeded step cap 40") {
+			t.Fatalf("%s: got %v, want the step-cap error", name, err)
+		}
+	}
 }
 
 // withoutRoutesAcross drops every route whose traffic crosses link

@@ -199,15 +199,12 @@ func (c *Config) ObsInfo(res *Result) obs.RunInfo {
 		HostN:       n,
 		GuestSteps:  c.Guest.Steps,
 		Delays:      append([]int(nil), c.Delays...),
-		LinkBW:      make([]int, len(c.Delays)),
+		Bandwidth:   c.bandwidth(),
 		ProcPebbles: make([]int64, n),
 		Neighbors:   c.Guest.Graph.Neighbors,
 	}
 	if res != nil {
 		info.HostSteps = res.HostSteps
-	}
-	for i := range c.Delays {
-		info.LinkBW[i] = c.bandwidth()
 	}
 	for p := 0; p < n; p++ {
 		info.ProcPebbles[p] = int64(len(c.Assign.Owned[p])) * int64(c.Guest.Steps)

@@ -358,15 +358,11 @@ func CheckRun(cfg *sim.Config, res *sim.Result, events []obs.Event) []Violation 
 		}
 	}
 
-	// Bandwidth: each directed link injects at most its per-step bandwidth,
-	// and nothing while an outage holds the link down.
+	// Bandwidth: each directed link injects at most B pebbles per step, and
+	// nothing while an outage holds the link down.
 	for sk, n := range slots {
-		bw := 1
-		if int(sk.link) < len(info.LinkBW) && info.LinkBW[sk.link] > 0 {
-			bw = info.LinkBW[sk.link]
-		}
-		if n > bw {
-			c.addf("bandwidth", "link %d dir %+d injected %d > B=%d at step %d", sk.link, sk.dir, n, bw, sk.step)
+		if n > info.Bandwidth {
+			c.addf("bandwidth", "link %d dir %+d injected %d > B=%d at step %d", sk.link, sk.dir, n, info.Bandwidth, sk.step)
 		}
 		if plan != nil && plan.LinkDown(int(sk.link), sk.step) {
 			c.addf("bandwidth", "link %d dir %+d injected %d at step %d during an outage", sk.link, sk.dir, n, sk.step)
