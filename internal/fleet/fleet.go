@@ -139,13 +139,16 @@ type ccBundle struct {
 // — the verify generator draws from small ranges, so thousands of
 // scenarios share a few hundred distinct structures — and the embedded
 // clique-chain bundles keyed by k. All caches hold immutable values
-// (engines never mutate graphs or assignments), so a Measurer is safe
-// for concurrent use.
+// (engines never mutate graphs or assignments). Engine runs reuse memory
+// through a free list of sim.Arenas: each Measure takes one for its run and
+// gives it back, so concurrent Measures never share one and a Measurer is
+// safe for concurrent use.
 type Measurer struct {
 	mu      sync.Mutex
 	guests  map[string]guest.Graph
 	assigns map[string]*assign.Assignment
 	ccs     map[int]*ccBundle
+	arenas  []*sim.Arena // idle arenas
 }
 
 // NewMeasurer returns a Measurer with empty caches.
@@ -293,7 +296,7 @@ func (m *Measurer) Measure(it Item) (Result, error) {
 	default:
 		return Result{}, fmt.Errorf("fleet: unknown item kind %q", it.Kind)
 	}
-	res, err := sim.Run(cfg)
+	res, err := m.run(cfg)
 	if err != nil {
 		return Result{}, fmt.Errorf("fleet: %s item %d (%s): %w", it.Kind, it.Index, it.Spec, err)
 	}
@@ -308,6 +311,24 @@ func (m *Measurer) Measure(it Item) (Result, error) {
 		HostSteps: res.HostSteps,
 		Predicted: family.Predict(stats),
 	}, nil
+}
+
+// run executes cfg on the sequential engine in an idle arena, or a new one
+// when every arena is busy, and returns the arena to the free list.
+func (m *Measurer) run(cfg sim.Config) (*sim.Result, error) {
+	m.mu.Lock()
+	var a *sim.Arena
+	if n := len(m.arenas); n > 0 {
+		a, m.arenas = m.arenas[n-1], m.arenas[:n-1]
+	} else {
+		a = new(sim.Arena)
+	}
+	m.mu.Unlock()
+	res, err := a.Run(cfg)
+	m.mu.Lock()
+	m.arenas = append(m.arenas, a)
+	m.mu.Unlock()
+	return res, err
 }
 
 // RunShard measures this plan shard's pending items and appends them to

@@ -75,11 +75,20 @@ func Open(path string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	data, err := io.ReadAll(f)
+	// One read sized from Stat: io.ReadAll would regrow its buffer by
+	// doubling, copying a large store several times.
+	fi, err := f.Stat()
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
+	data := make([]byte, fi.Size())
+	n, err := io.ReadFull(f, data)
+	if err != nil && err != io.ErrUnexpectedEOF {
+		f.Close()
+		return nil, err
+	}
+	data = data[:n]
 	s := &Store{path: path, f: f, byKey: map[string]struct{}{}}
 	good := 0 // byte offset after the last intact line
 	for len(data) > good {

@@ -13,7 +13,7 @@ import (
 // controller activates them. For every column, adapt.Placement picks up to
 // MaxExtra consumer hosts; each gets a dormant ownedCol appended after the
 // host's base columns, and the routing table fans the standby column's
-// dependency traffic out to that host from step 1 (buildRoutes' extra
+// dependency traffic out to that host from step 1 (routeBuilder.build's extra
 // destinations). A dormant column never computes, never sends, and holds
 // no place in the remaining-work counters — but being a registered
 // consumer, it pins its dependencies' values in the knowledge store, which

@@ -112,13 +112,14 @@ type bucketCal struct {
 	overflowPeak  int
 }
 
-// presizeScratch reserves takeDue's scratch up front so the first busy steps
-// do not grow it incrementally. Capacity only; scheduling semantics are
-// untouched.
-func (c *bucketCal) presizeScratch(n int) {
-	if n > cap(c.due) {
-		c.due = make([]int32, 0, n)
+// reset empties the calendar and zeroes its accounting for a new run,
+// keeping the buckets', the heap's and the scratch's memory.
+func (c *bucketCal) reset() {
+	for i := range c.ring {
+		c.ring[i] = c.ring[i][:0]
 	}
+	c.inRing, c.overflow, c.due = 0, c.overflow[:0], c.due[:0]
+	c.dueTotal, c.overflowTotal, c.depthPeak, c.overflowPeak = 0, 0, 0, 0
 }
 
 // schedule records a delivery key at the given step. step must be >= now.

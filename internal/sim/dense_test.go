@@ -8,12 +8,12 @@ import (
 )
 
 func singleColKnow() denseKnow {
-	return newDenseKnow([]int32{7}, []int32{1})
+	return newKnow([]int32{7}, []int32{1})
 }
 
 func TestColUniverse(t *testing.T) {
 	g := guest.NewLinearArray(10)
-	u := colUniverse(g.Neighbors, []int{3, 4})
+	u := appendUniverse(nil, g.Neighbors, []int{3, 4})
 	want := []int32{2, 3, 4, 5}
 	if len(u) != len(want) {
 		t.Fatalf("universe %v, want %v", u, want)
@@ -31,7 +31,7 @@ func TestColUniverse(t *testing.T) {
 	if d := denseIndex(u, 9); d != -1 {
 		t.Errorf("denseIndex(9) = %d, want -1", d)
 	}
-	if colUniverse(g.Neighbors, nil) != nil {
+	if appendUniverse(nil, g.Neighbors, nil) != nil {
 		t.Error("empty owned list must give empty universe")
 	}
 }
@@ -279,7 +279,7 @@ func FuzzDenseKnowledge(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		universe := []int32{2, 5, 7, 9, 100}
 		cons := []int32{1, 2, 3, 1, 4}
-		k := newDenseKnow(universe, cons)
+		k := newKnow(universe, cons)
 		known := map[uint64]uint64{} // (dense, step) -> value
 		owed := map[uint64]int32{}   // consumes left before retirement
 		pending := map[uint64]bool{} // waiter anchors
@@ -361,7 +361,7 @@ func FuzzDenseKnowledge(f *testing.F) {
 
 // countedKnow is a one-column store whose column has k local consumers.
 func countedKnow(k int32) denseKnow {
-	return newDenseKnow([]int32{7}, []int32{k})
+	return newKnow([]int32{7}, []int32{k})
 }
 
 // A value read by k local consumers survives k-1 consumes and retires on
@@ -464,7 +464,7 @@ func TestDenseRejectsUnconsumedColumn(t *testing.T) {
 			t.Fatal("newDenseKnow accepted a column with zero consumers")
 		}
 	}()
-	newDenseKnow([]int32{3, 4}, []int32{1, 0})
+	newKnow([]int32{3, 4}, []int32{1, 0})
 }
 
 // The replica record is the per-pebble hot state: one cache line.

@@ -32,7 +32,7 @@ func faultConfig(t *testing.T) (*Config, *routeTable) {
 
 func runChunkToCompletion(t *testing.T, cfg *Config, rt *routeTable) *chunk {
 	t.Helper()
-	c := newChunk(cfg, rt, 0, cfg.hostN())
+	c := newChunk(new(chunk), cfg, rt, 0, cfg.hostN())
 	for c.remaining > 0 {
 		if c.step() {
 			c.now++
@@ -86,7 +86,7 @@ func TestVerifyPassesCleanRun(t *testing.T) {
 
 func TestDuplicateDeliveryDetected(t *testing.T) {
 	cfg, rt := faultConfig(t)
-	c := newChunk(cfg, rt, 0, cfg.hostN())
+	c := newChunk(new(chunk), cfg, rt, 0, cfg.hostN())
 	// inject the same value twice at a position that consumes it
 	if len(rt.routes) == 0 {
 		t.Skip("no routes")

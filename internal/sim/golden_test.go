@@ -52,13 +52,16 @@ func streamDigest(events []obs.Event) uint64 {
 	return h.Sum64()
 }
 
+// runner runs one simulation: sim.Run, or an Arena's Run.
+type runner func(sim.Config) (*sim.Result, error)
+
 // goldenLine runs cfg and renders everything the digest file pins: the
 // stream digest, the Result counters and the knowledge-ring gauges.
-func goldenLine(cfg sim.Config) (string, error) {
+func goldenLine(run runner, cfg sim.Config) (string, error) {
 	buf := obs.NewBuffer()
 	reg := telemetry.NewRegistry()
 	cfg.Check, cfg.Recorder, cfg.Telemetry = true, buf, reg
-	res, err := sim.Run(cfg)
+	res, err := run(cfg)
 	if err != nil {
 		return "", err
 	}
@@ -82,30 +85,50 @@ func TestGoldenDigests(t *testing.T) {
 	compareGolden(t, goldenFile, goldenCorpus(t, goldenLine).Bytes())
 }
 
-// goldenCorpus renders line for each pinned verify scenario on both
-// engines: a "# i scenario" header, then an "i seq" and an "i par" line.
-func goldenCorpus(t *testing.T, line func(sim.Config) (string, error)) *bytes.Buffer {
+// goldenCase is one pinned run: a corpus scenario on one engine.
+type goldenCase struct {
+	name string // "i seq" or "i par"
+	sc   *verify.Scenario
+	cfg  sim.Config
+}
+
+// goldenCases builds each pinned verify scenario on both engines: the
+// sequential one, then the parallel one with the scenario's workers.
+func goldenCases(t *testing.T) []goldenCase {
 	t.Helper()
-	var out bytes.Buffer
+	var cases []goldenCase
 	for i := 0; i < goldenScenarios; i++ {
 		sc := verify.Generate(1, i)
 		cfg, err := sc.Build()
 		if err != nil {
 			t.Fatalf("scenario %d (%s): %v", i, sc, err)
 		}
-		fmt.Fprintf(&out, "# %d %s\n", i, sc)
 		for _, e := range []struct {
 			name    string
 			workers int
 		}{{"seq", 0}, {"par", sc.Workers}} {
 			c := *cfg
 			c.Workers = e.workers
-			l, err := line(c)
-			if err != nil {
-				t.Fatalf("scenario %d (%s) %s: %v", i, sc, e.name, err)
-			}
-			fmt.Fprintf(&out, "%d %s %s\n", i, e.name, l)
+			cases = append(cases, goldenCase{fmt.Sprintf("%d %s", i, e.name), sc, c})
 		}
+	}
+	return cases
+}
+
+// goldenCorpus renders line for each golden case through sim.Run: a
+// "# i scenario" header, then an "i seq" and an "i par" line.
+func goldenCorpus(t *testing.T, line func(runner, sim.Config) (string, error)) *bytes.Buffer {
+	t.Helper()
+	var out bytes.Buffer
+	for j, gc := range goldenCases(t) {
+		if j%2 == 0 {
+			fmt.Fprintf(&out, "# %d %s\n", j/2, gc.sc)
+		}
+		l, err := line(sim.Run, gc.cfg)
+		if err != nil {
+			t.Fatalf("scenario %s (%s): %v", gc.name, gc.sc, err)
+		}
+		fmt.Fprintf(&out, "%s %s\n", gc.name, l)
 	}
 	return &out
 }
@@ -161,10 +184,10 @@ var (
 )
 
 // countersLine runs cfg and renders its work counters and peaks.
-func countersLine(cfg sim.Config) (string, error) {
+func countersLine(run runner, cfg sim.Config) (string, error) {
 	reg := telemetry.NewRegistry()
 	cfg.Telemetry = reg
-	if _, err := sim.Run(cfg); err != nil {
+	if _, err := run(cfg); err != nil {
 		return "", err
 	}
 	snap := reg.Snapshot()
@@ -213,7 +236,7 @@ func benchEngineConfig(t *testing.T) sim.Config {
 // and review the diff.
 func TestGoldenCounters(t *testing.T) {
 	out := goldenCorpus(t, countersLine)
-	line, err := countersLine(benchEngineConfig(t))
+	line, err := countersLine(sim.Run, benchEngineConfig(t))
 	if err != nil {
 		t.Fatalf("bench config: %v", err)
 	}
@@ -225,7 +248,7 @@ func TestGoldenCounters(t *testing.T) {
 		workers int
 	}{{"seq", 0}, {"par", 2}} {
 		long.Workers = e.workers
-		if line, err = countersLine(long); err != nil {
+		if line, err = countersLine(sim.Run, long); err != nil {
 			t.Fatalf("long-link config %s: %v", e.name, err)
 		}
 		fmt.Fprintf(out, "long %s %s\n", e.name, line)

@@ -1,9 +1,35 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+
+	"latencyhide/internal/assign"
+	"latencyhide/internal/guest"
+)
 
 // Route-table helpers that only tests use: the engine walks chains
 // incrementally and trusts buildRoutes' construction.
+
+// buildRoutes builds a fresh route table, as Run does in a new Arena.
+func buildRoutes(g guest.Graph, a *assign.Assignment, avoid []int, extra [][]int) *routeTable {
+	return new(routeBuilder).build(g, a, avoid, extra)
+}
+
+// newRouteShell builds a fresh table with every position's universe and no
+// routes.
+func newRouteShell(g guest.Graph, a *assign.Assignment, extra [][]int) *routeTable {
+	return new(routeBuilder).shell(g, a, extra)
+}
+
+// newKnow builds a standalone knowledge store for a universe whose column i
+// has cons[i] local consumers.
+func newKnow(universe, cons []int32) denseKnow {
+	rings := make([]kring, len(universe))
+	for i := range rings {
+		rings[i].cons = cons[i]
+	}
+	return newDenseKnow(universe, rings, make([]kslot, len(universe)*initRingSlots))
+}
 
 // destsOf decodes route id's destination positions in travel order.
 // The hot path walks the chain incrementally instead.
@@ -66,4 +92,23 @@ func (rt *routeTable) validate(hostN int) error {
 		}
 	}
 	return nil
+}
+
+// RunDeadlocked runs cfg in a over a route table with no routes, so every
+// dependency held on another workstation never arrives and the run stalls:
+// on the sequential engine when cuts is nil, else on the parallel engine
+// over cuts. Exported for the arena tests in package sim_test.
+func (a *Arena) RunDeadlocked(cfg Config, cuts []int) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	rt := newRouteShell(cfg.Guest.Graph, cfg.Assign, nil)
+	rt.countCrossings(cfg.hostN(), nil)
+	var err error
+	if cuts == nil {
+		_, err = a.runSequential(&cfg, rt)
+	} else {
+		_, err = a.runParallelWithCuts(&cfg, rt, cuts)
+	}
+	return err
 }

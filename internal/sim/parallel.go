@@ -549,11 +549,11 @@ func splitPositionsWork(delays []int, work []int64, w int) []int {
 
 // runParallel executes the simulation with cfg.Workers conservative chunks,
 // cut at the work quantiles of the assignment's per-host pebble counts.
-func runParallel(cfg *Config, rt *routeTable) (*Result, error) {
+func (a *Arena) runParallel(cfg *Config, rt *routeTable) (*Result, error) {
 	n := cfg.hostN()
 	w := min(cfg.Workers, n/2)
 	if w < 2 {
-		return runSequential(cfg, rt)
+		return a.runSequential(cfg, rt)
 	}
 	// Per-host work estimate: pebbles to compute, plus a baseline unit so
 	// pure relay hosts still count toward chunk sizes.
@@ -561,13 +561,13 @@ func runParallel(cfg *Config, rt *routeTable) (*Result, error) {
 	for p := 0; p < n; p++ {
 		work[p] = 1 + int64(len(cfg.Assign.Owned[p]))*int64(cfg.Guest.Steps)
 	}
-	return runParallelWithCuts(cfg, rt, splitPositionsWork(cfg.Delays, work, w))
+	return a.runParallelWithCuts(cfg, rt, splitPositionsWork(cfg.Delays, work, w))
 }
 
 // runParallelWithCuts runs the parallel engine over an explicit cut vector
 // (cuts[0] = 0 < cuts[1] < ... < cuts[w] = hostN). Any valid cut vector
 // produces bit-identical results — the fuzz harness exercises exactly that.
-func runParallelWithCuts(cfg *Config, rt *routeTable, cuts []int) (*Result, error) {
+func (a *Arena) runParallelWithCuts(cfg *Config, rt *routeTable, cuts []int) (*Result, error) {
 	n := cfg.hostN()
 	w := len(cuts) - 1
 	if w < 1 || cuts[0] != 0 || cuts[w] != n {
@@ -579,12 +579,12 @@ func runParallelWithCuts(cfg *Config, rt *routeTable, cuts []int) (*Result, erro
 		}
 	}
 	if w == 1 {
-		return runSequential(cfg, rt)
+		return a.runSequential(cfg, rt)
 	}
 	chunks := make([]*chunk, w)
 	var total int64
 	for i := 0; i < w; i++ {
-		chunks[i] = newChunk(cfg, rt, cuts[i], cuts[i+1])
+		chunks[i] = newChunk(a.shell(i), cfg, rt, cuts[i], cuts[i+1])
 		total += chunks[i].remaining
 	}
 	if total == 0 {

@@ -154,7 +154,7 @@ func TestSplitPositionsTable(t *testing.T) {
 // and returns its frontier: the error after "stalled at step N: ".
 func seqFrontier(t *testing.T, cfg *Config, rt *routeTable) string {
 	t.Helper()
-	_, err := runSequential(cfg, rt)
+	_, err := new(Arena).runSequential(cfg, rt)
 	if err == nil {
 		t.Fatal("sequential engine finished a deadlocked run")
 	}
@@ -172,7 +172,7 @@ func checkStall(t *testing.T, cfg Config, rt *routeTable, cuts []int) {
 	t.Helper()
 	cfg.MaxSteps = 1 << 40
 	want := seqFrontier(t, &cfg, rt)
-	_, err := runParallelWithCuts(&cfg, rt, cuts)
+	_, err := new(Arena).runParallelWithCuts(&cfg, rt, cuts)
 	if err == nil {
 		t.Fatal("deadlocked run reported success")
 	}
@@ -200,7 +200,7 @@ func TestStallCatchesDeadlock(t *testing.T) {
 	}
 	// An empty route table: step-2 pebbles need the neighbor's step-1 value,
 	// which is never routed — the canonical "assignment bug" deadlock.
-	rt := newRouteShell(a)
+	rt := newRouteShell(cfg.Guest.Graph, a, nil)
 	rt.countCrossings(2, nil)
 	checkStall(t, cfg, rt, []int{0, 1, 2})
 }
@@ -226,11 +226,11 @@ func TestStepCapEndsDeadAdaptiveRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.ast = newAdaptState(&cfg, nil)
-	rt := newRouteShell(a)
+	rt := newRouteShell(cfg.Guest.Graph, a, cfg.ast.extraCols)
 	rt.countCrossings(2, nil)
 	engines := map[string]func() (*Result, error){
-		"seq": func() (*Result, error) { return runSequential(&cfg, rt) },
-		"par": func() (*Result, error) { return runParallelWithCuts(&cfg, rt, []int{0, 1, 2}) },
+		"seq": func() (*Result, error) { return new(Arena).runSequential(&cfg, rt) },
+		"par": func() (*Result, error) { return new(Arena).runParallelWithCuts(&cfg, rt, []int{0, 1, 2}) },
 	}
 	for name, f := range engines {
 		if _, err := f(); err == nil || !strings.Contains(err.Error(), "exceeded step cap 40") {
@@ -483,12 +483,12 @@ func FuzzParallelCuts(f *testing.F) {
 			t.Skip()
 		}
 		rt := buildRoutes(cfg.Guest.Graph, cfg.Assign, nil, nil)
-		seq, err := runSequential(&cfg, rt)
+		seq, err := new(Arena).runSequential(&cfg, rt)
 		if err != nil {
 			t.Fatalf("seq: %v", err)
 		}
 		cuts := cutsFromBytes(raw, hostN)
-		par, err := runParallelWithCuts(&cfg, rt, cuts)
+		par, err := new(Arena).runParallelWithCuts(&cfg, rt, cuts)
 		if err != nil {
 			t.Fatalf("cuts %v: %v", cuts, err)
 		}

@@ -168,7 +168,7 @@ func (rt *refRouteTable) refResolveDestDense(g guest.Graph, a *assign.Assignment
 			if extra != nil {
 				standby = extra[pos]
 			}
-			universes[pos] = colUniverse(g.Neighbors, a.Owned[pos], standby)
+			universes[pos] = appendUniverse(nil, g.Neighbors, a.Owned[pos], standby)
 		}
 		return universes[pos]
 	}
@@ -215,8 +215,8 @@ func (rt *refRouteTable) refCountCrossings(hostN int) {
 // compactFromRef mechanically encodes a reference table into the compact
 // layout — per-route, no interning — so the engine can consume the
 // reference builder's output directly.
-func compactFromRef(ref *refRouteTable, a *assign.Assignment) *routeTable {
-	rt := newRouteShell(a)
+func compactFromRef(ref *refRouteTable, g guest.Graph, a *assign.Assignment, extra [][]int) *routeTable {
+	rt := newRouteShell(g, a, extra)
 	rt.routes = make([]routeRec, len(ref.routes))
 	lasts := make([]int32, len(ref.routes))
 	for i := range ref.routes {
@@ -334,11 +334,11 @@ func RouteDifferential(cfg Config, events bool) error {
 		c := prep()
 		buf := obs.NewBuffer()
 		c.Recorder = buf
-		res, err := runSequential(&c, rt)
+		res, err := new(Arena).runSequential(&c, rt)
 		return buf.Events(), res, err
 	}
 	evNew, resNew, errNew := runWith(rtNew)
-	evRef, resRef, errRef := runWith(compactFromRef(ref, cfg.Assign))
+	evRef, resRef, errRef := runWith(compactFromRef(ref, cfg.Guest.Graph, cfg.Assign, extra))
 	if (errNew == nil) != (errRef == nil) {
 		return fmt.Errorf("engine outcome differs: compact err %v, ref err %v", errNew, errRef)
 	}
@@ -443,7 +443,7 @@ func FuzzRouteCompact(f *testing.F) {
 		}
 		runTapped := func(rt *routeTable) []deliv {
 			var out []deliv
-			c := newChunk(&cfg, rt, 0, cfg.hostN())
+			c := newChunk(new(chunk), &cfg, rt, 0, cfg.hostN())
 			c.deliverTap = func(pos int, col, step int32, value uint64) {
 				out = append(out, deliv{pos, col, step, value})
 			}
@@ -480,7 +480,7 @@ func FuzzRouteCompact(f *testing.F) {
 			return out
 		}
 		got := runTapped(buildRoutes(cfg.Guest.Graph, cfg.Assign, nil, nil))
-		want := runTapped(compactFromRef(buildRoutesRef(cfg.Guest.Graph, cfg.Assign, nil, nil), cfg.Assign))
+		want := runTapped(compactFromRef(buildRoutesRef(cfg.Guest.Graph, cfg.Assign, nil, nil), cfg.Guest.Graph, cfg.Assign, nil))
 		if len(got) != len(want) {
 			t.Fatalf("delivery count: compact %d, ref %d", len(got), len(want))
 		}

@@ -17,8 +17,8 @@ import (
 // and activates standbys. Fast-forwards are clamped to the next boundary so
 // no quiet jump skips one; the parallel engine caps its workers' horizons
 // at the same points, which is what keeps adaptive runs bit-identical.
-func runSequential(cfg *Config, rt *routeTable) (*Result, error) {
-	c := newChunk(cfg, rt, 0, cfg.hostN())
+func (a *Arena) runSequential(cfg *Config, rt *routeTable) (*Result, error) {
+	c := newChunk(a.shell(0), cfg, rt, 0, cfg.hostN())
 	maxSteps := cfg.maxSteps()
 	ast := cfg.ast
 	var nextB int64
@@ -31,7 +31,7 @@ func runSequential(cfg *Config, rt *routeTable) (*Result, error) {
 		// count the same complete event set (see chunk.quiescent). The check
 		// precedes the boundary branch — a run that drains dry before the
 		// next boundary never runs the controller there, exactly like the
-		// parallel engine's terminal barrier.
+		// parallel engine's gate, whose verdict ends such a run first.
 		if c.remaining == 0 && (ast == nil || c.quiescent()) {
 			break
 		}

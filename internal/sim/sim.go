@@ -216,7 +216,54 @@ func (c *Config) ObsInfo(res *Result) obs.RunInfo {
 // for invalid configurations, stalls (deadlocked dataflow — always an
 // assignment/routing bug), exceeded step caps, and fault plans that crash
 // every replica of some column (*UncomputableError).
-func Run(cfg Config) (*Result, error) {
+func Run(cfg Config) (*Result, error) { return new(Arena).Run(cfg) }
+
+// Arena is a reusable engine context for callers that run many simulations
+// one after another, such as fleet sweeps. Its Run rebuilds a run's state
+// inside the memory kept from the arena's earlier runs: the route table and
+// its build scratch, and one chunk shell per engine chunk (the calendar
+// ring, the flat replica and knowledge-ring arrays, the links and their
+// queues). Backing memory is reused, logical state never is: every slice
+// restarts at length 0 and every knowledge ring at initRingSlots, so a run's
+// Result, event stream and work counters equal a fresh arena's.
+//
+// The zero Arena is ready to use. An Arena is not safe for concurrent use,
+// and it keeps the footprint of the largest run it has served.
+type Arena struct {
+	routes routeBuilder
+	shells []*chunk
+}
+
+// shell returns the arena's chunk shell i; chunk i of every run, on either
+// engine, is built in it.
+func (a *Arena) shell(i int) *chunk {
+	for len(a.shells) <= i {
+		a.shells = append(a.shells, new(chunk))
+	}
+	return a.shells[i]
+}
+
+// reuse returns s resliced to length n, reallocating only when its capacity
+// is short. Elements keep whatever an earlier run left in them, so callers
+// clear or overwrite them.
+func reuse[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return append(s[:cap(s)], make([]T, n-cap(s))...)
+}
+
+// presize returns s emptied, with room for at least n elements.
+func presize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
+// Run executes one simulation like the package-level Run, reusing the
+// arena's memory.
+func (a *Arena) Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -236,7 +283,7 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.ast != nil {
 		extra = cfg.ast.extraCols
 	}
-	routes := buildRoutes(cfg.Guest.Graph, cfg.Assign, crashed, extra)
+	routes := a.routes.build(cfg.Guest.Graph, cfg.Assign, crashed, extra)
 	if err := routeEnvelope(int64(len(routes.chainArena)), int64(cfg.Assign.Columns)); err != nil {
 		return nil, err
 	}
@@ -248,9 +295,9 @@ func Run(cfg Config) (*Result, error) {
 		err error
 	)
 	if cfg.Workers > 1 {
-		res, err = runParallel(&cfg, routes)
+		res, err = a.runParallel(&cfg, routes)
 	} else {
-		res, err = runSequential(&cfg, routes)
+		res, err = a.runSequential(&cfg, routes)
 	}
 	if err != nil {
 		return nil, err

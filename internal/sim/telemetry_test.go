@@ -161,10 +161,10 @@ func TestDisabledLayersAttachNothing(t *testing.T) {
 			cfg.em = registerEngineMetrics(cfg.Telemetry)
 		}
 		rt := buildRoutes(cfg.Guest.Graph, cfg.Assign, nil, nil)
-		out := []*chunk{newChunk(&cfg, rt, 0, hostN)}
+		out := []*chunk{newChunk(new(chunk), &cfg, rt, 0, hostN)}
 		cuts := splitPositionsWork(cfg.Delays, nil, 4)
 		for i := 0; i+1 < len(cuts); i++ {
-			out = append(out, newChunk(&cfg, rt, cuts[i], cuts[i+1]))
+			out = append(out, newChunk(new(chunk), &cfg, rt, cuts[i], cuts[i+1]))
 		}
 		return out
 	}

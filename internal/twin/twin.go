@@ -113,10 +113,11 @@ func Floors(g GuestGraph, holders [][]int, delays []int, steps int) (propFloor, 
 			depth[i] = -1
 		}
 		depth[u] = 0
+		// Pop by head index: the queue keeps its start, so its capacity of
+		// m (each node enters once) serves every BFS without regrowing.
 		queue = append(queue[:0], u)
-		for len(queue) > 0 {
-			x := queue[0]
-			queue = queue[1:]
+		for head := 0; head < len(queue); head++ {
+			x := queue[head]
 			if depth[x] >= window {
 				continue
 			}
