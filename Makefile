@@ -82,10 +82,11 @@ race:
 	$(GO) test -race ./internal/sim ./internal/overlap ./internal/mesharray
 
 # Engine micro-benchmarks (plus the telemetry-on and fault-plan-on runs that
-# price against EngineSequential), no comparison. The engine's exact work
-# counters are pinned by TestGoldenCounters
-# (internal/sim/testdata/golden_counters.txt); end-to-end timing is
-# perfbench/'s job (BENCHMARK.json).
+# price against EngineSequential), no comparison. The engine's exact work,
+# Result.Work, is pinned on both engines with no exclusions by
+# TestGoldenCounters (internal/sim/testdata/golden_counters.txt, the
+# long-link cut config included); end-to-end timing is perfbench/'s job
+# (BENCHMARK.json).
 bench:
 	$(GO) test -run '^$$' -bench 'Engine|Telemetry|FaultQuery' -benchtime 3x -count 1 .
 

@@ -435,10 +435,11 @@ func BenchmarkEngineHuge(b *testing.B) {
 	}
 }
 
-// BenchmarkTelemetryEnabled pays for a live registry: per-chunk shards,
-// periodic flushes every 64 steps, histogram observes and peak scans.
-// Compare against BenchmarkEngineSequential (the same run with a nil
-// registry) to price instrumentation.
+// BenchmarkTelemetryEnabled pays for a live registry on the sequential
+// engine: one chunk shard and its progress push every 64 steps, an O(procs)
+// sum of pebbles computed (the boundary and park metrics are the parallel
+// engine's). Compare against BenchmarkEngineSequential (the same run with a
+// nil registry) to price instrumentation.
 func BenchmarkTelemetryEnabled(b *testing.B) {
 	delays := nowLine(1024, 3)
 	t := tree.Build(delays, 4)

@@ -429,6 +429,7 @@ func cmdRun(args []string) error {
 		mr.m.HostSteps = out.Sim.HostSteps
 		mr.m.Slowdown = out.Sim.Slowdown
 		mr.m.Pebbles = out.Sim.PebblesComputed
+		mr.m.Work = &out.Sim.Work
 	}
 	return mr.finish()
 }

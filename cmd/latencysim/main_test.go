@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"latencyhide/internal/fleet"
+	"latencyhide/internal/overlap"
 	"latencyhide/internal/telemetry"
 )
 
@@ -460,6 +461,15 @@ func TestFlagErrorsGolden(t *testing.T) {
 	checkGolden(t, "flag_errors", sb.String())
 }
 
+// A negative -bw is an error (main exits 1), not a request for the default
+// bandwidth.
+func TestRunRejectsNegativeBandwidth(t *testing.T) {
+	err := cmdRun([]string{"-host", "random", "-n", "32", "-steps", "8", "-bw", "-5"})
+	if err == nil || !strings.Contains(err.Error(), "Bandwidth") {
+		t.Fatalf("run -bw -5: got %v, want an error naming Bandwidth", err)
+	}
+}
+
 // End-to-end: `run -manifest-out` must emit a manifest that passes the
 // schema contract (parallel engine by default, so boundary telemetry is
 // present), and `manifest -check` must accept it.
@@ -536,15 +546,25 @@ func TestRunManifestRoundTrip(t *testing.T) {
 	if got := m.Metrics.Counter("pebbles_computed"); got != m.Pebbles {
 		t.Fatalf("telemetry pebbles %d != result pebbles %d", got, m.Pebbles)
 	}
-	// Memory-budget gauges: knowledge rings always exist; this scenario
-	// replicates, so it must also report a route-table footprint. Peak RSS
-	// is best-effort, but on Linux (where CI runs) it should be real.
-	if v := m.Metrics.Gauge("know_ring_bytes_peak"); v <= 0 {
-		t.Fatalf("know_ring_bytes_peak = %d, want > 0", v)
+	// The work section is the run's Result.Work: the same config run
+	// directly, without telemetry or a recorder and on either engine,
+	// gives the same record.
+	g, err := buildHost(t, "-host", "line", "-n", "64").build()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if v := m.Metrics.Gauge("route_bytes"); v <= 0 {
-		t.Fatalf("route_bytes = %d, want > 0", v)
+	for _, workers := range []int{2, 0} {
+		out, err := overlap.Simulate(g, overlap.Options{
+			Variant: overlap.LoadOne, Steps: 16, Seed: 7, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Work == nil || *m.Work != out.Sim.Work {
+			t.Fatalf("manifest work %+v != direct run's Result.Work %+v (workers %d)", m.Work, out.Sim.Work, workers)
+		}
 	}
+	// Peak RSS is best-effort, but on Linux (where CI runs) it should be
+	// real.
 	if rss := m.Metrics.Gauge("rss_peak_bytes"); rss < 0 {
 		t.Fatalf("rss_peak_bytes = %d, want >= 0", rss)
 	} else if telemetry.ReadPeakRSS() > 0 && rss == 0 {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -187,6 +188,13 @@ func cmdManifest(args []string) error {
 		s := m.Stalls
 		fmt.Printf("stalls:   busy=%d idle=%d dep=%d bw=%d fault=%d of %d proc-steps\n",
 			s.Busy, s.Idle, s.Dependency, s.Bandwidth, s.Fault, s.ProcSteps)
+	}
+	if m.Work != nil {
+		work, err := json.Marshal(m.Work)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("work:     %s\n", work)
 	}
 	if m.Metrics != nil {
 		names := make([]string, 0, len(m.Metrics.Counters))

@@ -241,6 +241,7 @@ func activate(chunks []*chunk, d adapt.Decision) int64 {
 			t := int64(c.T)
 			p.remaining += t
 			c.remaining += t
+			c.retotal(t)
 			return t
 		}
 		return 0

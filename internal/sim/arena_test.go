@@ -29,19 +29,10 @@ func arenaLines(t *testing.T, run runner, gc goldenCase) string {
 	return digest + "\n" + counters
 }
 
-// arenaCases is the golden corpus on both engines plus the long-link
-// config, whose arrivals reach the calendar's overflow heap, on both.
+// arenaCases is the golden corpus and the long-link configs, whose
+// arrivals reach the calendar's overflow heap, on both engines.
 func arenaCases(t *testing.T) []goldenCase {
-	cases := goldenCases(t)
-	for _, e := range []struct {
-		name    string
-		workers int
-	}{{"long seq", 0}, {"long par", 2}} {
-		cfg := longLinkConfig(t)
-		cfg.Workers = e.workers
-		cases = append(cases, goldenCase{name: e.name, cfg: cfg})
-	}
-	return cases
+	return append(goldenCases(t), longLinkCases(t)...)
 }
 
 // TestArenaMatchesFresh runs every arena case through one Arena, in order
@@ -82,7 +73,7 @@ func TestArenaAfterFailedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	long := longLinkConfig(t)
+	long := longLinkCases(t)[0].cfg
 	huge := long
 	huge.Guest.Steps = math.MaxInt32
 	single, err := assign.SingleCopyBlocks(8, 16)
@@ -121,13 +112,13 @@ func TestArenaAfterFailedRun(t *testing.T) {
 			return errors.As(err, &unc)
 		}},
 	)
-	cases := arenaCases(t)
-	// Every fourth scenario on both engines, and the long-link config.
+	// Every fourth scenario on both engines, and the long-link configs.
+	golden := goldenCases(t)
 	var next []goldenCase
-	for i := 0; i < len(cases)-2; i += 8 {
-		next = append(next, cases[i], cases[i+1])
+	for i := 0; i < len(golden); i += 8 {
+		next = append(next, golden[i], golden[i+1])
 	}
-	next = append(next, cases[len(cases)-2:]...)
+	next = append(next, longLinkCases(t)...)
 	var a sim.Arena
 	for _, gc := range next {
 		want := arenaLines(t, sim.Run, gc)

@@ -102,24 +102,15 @@ type bucketCal struct {
 	inRing   int // total entries across ring buckets
 	overflow calOverflow
 	due      []int32 // scratch for takeDue
-
-	// always-on accounting (plain fields, read by the telemetry flush):
-	// total keys delivered, total overflow spills, and the depth high-water
-	// mark across ring + heap.
-	dueTotal      int64
-	overflowTotal int64
-	depthPeak     int
-	overflowPeak  int
 }
 
-// reset empties the calendar and zeroes its accounting for a new run,
-// keeping the buckets', the heap's and the scratch's memory.
+// reset empties the calendar for a new run, keeping the buckets', the
+// heap's and the scratch's memory.
 func (c *bucketCal) reset() {
 	for i := range c.ring {
 		c.ring[i] = c.ring[i][:0]
 	}
 	c.inRing, c.overflow, c.due = 0, c.overflow[:0], c.due[:0]
-	c.dueTotal, c.overflowTotal, c.depthPeak, c.overflowPeak = 0, 0, 0, 0
 }
 
 // schedule records a delivery key at the given step. step must be >= now.
@@ -133,13 +124,6 @@ func (c *bucketCal) schedule(now, step int64, key int32) {
 		c.inRing++
 	} else {
 		c.overflow.push(calEntry{step: step, key: key})
-		c.overflowTotal++
-		if n := len(c.overflow); n > c.overflowPeak {
-			c.overflowPeak = n
-		}
-	}
-	if d := c.inRing + len(c.overflow); d > c.depthPeak {
-		c.depthPeak = d
 	}
 }
 
@@ -182,7 +166,6 @@ func (c *bucketCal) takeDue(now int64) []int32 {
 	if len(due) > 1 {
 		slices.Sort(due)
 	}
-	c.dueTotal += int64(len(due))
 	c.due = due
 	return due
 }

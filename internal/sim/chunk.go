@@ -170,8 +170,8 @@ type proc struct {
 	blockedAt []int64
 	depBlame  []int64
 
-	// waiter-pool accounting (always-on plain increments; flushed into the
-	// telemetry shard periodically when a registry is attached)
+	// waiter-pool accounting (plain increments; collect sums them into
+	// Result.Work)
 	waitHits, waitGrows int64
 }
 
@@ -243,8 +243,9 @@ type chunk struct {
 	faults *fault.Plan
 	crashQ []crashEvent // pending crash-stops, (step, pos)-sorted
 
-	// stats
-	messages, hops, delivered, duplicates int64
+	// stats; overflows counts crossings that arrive a calendar ring span or
+	// more after their send step (Work.CalOverflowEvents)
+	messages, hops, delivered, duplicates, overflows int64
 
 	// deliverTap, when non-nil (tests only), observes every counted
 	// delivery; a single nil check on the hot path.
@@ -255,16 +256,13 @@ type chunk struct {
 	// replays the canonical stream into the configured Recorder.
 	buf *obs.Buffer
 
-	// telemetry (Config.Telemetry != nil): one shard per chunk plus the
-	// flushed-watermark bookkeeping for delta pushes (see telemetry.go).
-	tel                             *telemetry.Shard
-	met                             *engineMetrics
-	telTick                         int64
-	telInitWork                     int64
-	telPebbles, telDue, telOverflow int64
-	telMsgs, telHops, telDeliv      int64
-	telWaitHits, telWaitGrows       int64
-	telKnowGrows, telKnowShrinks    int64
+	// telemetry (Config.Telemetry != nil): one shard per chunk, the step
+	// tick of its progress pushes and the pebble count last pushed (see
+	// telemetry.go).
+	tel        *telemetry.Shard
+	met        *engineMetrics
+	telTick    int64
+	telPebbles int64
 }
 
 // chunkMem is the flat backing memory newChunk carves a chunk's
@@ -711,11 +709,7 @@ func (c *chunk) deliveriesFor(l *dlink, pos int) bool {
 // step, in deterministic (position, from-left-first) order.
 func (c *chunk) runDeliveries() bool {
 	did := false
-	due := c.cal.takeDue(c.now)
-	if c.tel != nil && len(due) > 0 {
-		c.tel.Observe(c.met.duePerStep, int64(len(due)))
-	}
-	for _, key := range due {
+	for _, key := range c.cal.takeDue(c.now) {
 		pos := int(key / 2)
 		fromRight := key%2 == 1
 		var l *dlink
@@ -803,6 +797,12 @@ func (c *chunk) runTransmit() bool {
 				arrive += int64(c.faults.ExtraDelay(link, leftward, c.now, i))
 			}
 			c.hops++
+			// Counted here, by the send step, on both engines: a boundary
+			// arrival is scheduled by the receiver's clock at drain time,
+			// which depends on thread timing.
+			if arrive-c.now >= calRingSize {
+				c.overflows++
+			}
 			if c.buf != nil {
 				link := int32(pos)
 				dir := int8(1)

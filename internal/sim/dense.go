@@ -62,8 +62,8 @@ func (r *kring) at(step int32) *kslot {
 
 // denseKnow is one workstation's knowledge store: one ring per column in
 // its universe. All counters are plain fields maintained inline (an
-// increment on state the operation already touches), so the telemetry
-// gauges that replaced the old O(capacity) probeStats scans are O(1) reads.
+// increment on state the operation already touches), so collect reads the
+// Result.Work peaks in O(1) per store.
 type denseKnow struct {
 	universe []int32 // sorted distinct guest columns this store can key
 	rings    []kring // parallel to universe

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"latencyhide/internal/assign"
@@ -80,5 +81,34 @@ func TestValidateRejectsStepsBeyondEnvelope(t *testing.T) {
 	var env *EnvelopeError
 	if err := cfg.Validate(); !errors.As(err, &env) || env.Field != "Guest.Steps" {
 		t.Fatalf("steps past the limit: got %v, want an EnvelopeError", err)
+	}
+}
+
+// Validate rejects a negative knob instead of falling back to its default,
+// and names the knob.
+func TestValidateRejectsNegativeKnobs(t *testing.T) {
+	a, err := assign.FromOwned(2, 2, [][]int{{0}, {1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := Config{Delays: []int{1}, Assign: a,
+		Guest: guest.Spec{Graph: guest.NewLinearArray(2), Steps: 4}}
+	for _, c := range []struct {
+		knob string
+		set  func(*Config)
+	}{
+		{"Bandwidth", func(c *Config) { c.Bandwidth = -5 }},
+		{"ComputePerStep", func(c *Config) { c.ComputePerStep = -1 }},
+		{"MaxSteps", func(c *Config) { c.MaxSteps = -1 }},
+		{"Workers", func(c *Config) { c.Workers = -2 }},
+	} {
+		cfg := base
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("base config rejected: %v", err)
+		}
+		c.set(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), c.knob) {
+			t.Errorf("negative %s: got %v, want an error naming it", c.knob, err)
+		}
 	}
 }

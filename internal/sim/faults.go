@@ -83,6 +83,7 @@ func (c *chunk) applyCrashes() {
 		p.crashed = true
 		p.ready = p.ready[:0]
 		c.remaining -= p.remaining
+		c.retotal(-p.remaining)
 		p.remaining = 0
 	}
 }

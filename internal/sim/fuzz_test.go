@@ -100,11 +100,8 @@ func TestFuzzEngineVerifiesRandomWorkloads(t *testing.T) {
 			t.Logf("seed %d: par: %v", seed, err)
 			return false
 		}
-		if seq.HostSteps != par.HostSteps || seq.PebblesComputed != par.PebblesComputed ||
-			seq.Messages != par.Messages {
-			t.Logf("seed %d: engines disagree: seq=%d/%d/%d par=%d/%d/%d", seed,
-				seq.HostSteps, seq.PebblesComputed, seq.Messages,
-				par.HostSteps, par.PebblesComputed, par.Messages)
+		if *seq != *par {
+			t.Logf("seed %d: engines disagree:\nseq %+v\npar %+v", seed, *seq, *par)
 			return false
 		}
 		return true

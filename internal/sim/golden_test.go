@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -16,7 +17,6 @@ import (
 	"latencyhide/internal/network"
 	"latencyhide/internal/obs"
 	"latencyhide/internal/sim"
-	"latencyhide/internal/telemetry"
 	"latencyhide/internal/tree"
 	"latencyhide/internal/verify"
 )
@@ -56,26 +56,24 @@ func streamDigest(events []obs.Event) uint64 {
 type runner func(sim.Config) (*sim.Result, error)
 
 // goldenLine runs cfg and renders everything the digest file pins: the
-// stream digest, the Result counters and the knowledge-ring gauges.
+// stream digest, the Result counters and the knowledge-ring figures.
 func goldenLine(run runner, cfg sim.Config) (string, error) {
 	buf := obs.NewBuffer()
-	reg := telemetry.NewRegistry()
-	cfg.Check, cfg.Recorder, cfg.Telemetry = true, buf, reg
+	cfg.Check, cfg.Recorder = true, buf
 	res, err := run(cfg)
 	if err != nil {
 		return "", err
 	}
-	snap := reg.Snapshot()
+	w := res.Work
 	return fmt.Sprintf("events=%d digest=%016x host_steps=%d pebbles=%d messages=%d hops=%d delivered=%d max_queue=%d checked=%v activations=%d know_live_peak=%d know_ring_bytes_peak=%d know_ring_grows=%d know_ring_shrinks=%d",
 		len(buf.Events()), streamDigest(buf.Events()),
 		res.HostSteps, res.PebblesComputed, res.Messages, res.MessageHops,
 		res.DeliveredValues, res.MaxQueueDepth, res.Checked, res.AdaptActivations,
-		snap.Gauge("know_live_peak"), snap.Gauge("know_ring_bytes_peak"),
-		snap.Counter("know_ring_grows"), snap.Counter("know_ring_shrinks")), nil
+		w.KnowLivePeak, w.KnowRingBytesPeak, w.KnowRingGrows, w.KnowRingShrinks), nil
 }
 
 // TestGoldenDigests pins both engines' event streams, counters and ring
-// gauges over the head of the verify corpus. Any behaviour change shows up
+// figures over the head of the verify corpus. Any behaviour change shows up
 // as a diff of the digest file; refresh it deliberately with
 //
 //	go test ./internal/sim -run TestGoldenDigests -update
@@ -116,17 +114,29 @@ func goldenCases(t *testing.T) []goldenCase {
 }
 
 // goldenCorpus renders line for each golden case through sim.Run: a
-// "# i scenario" header, then an "i seq" and an "i par" line.
+// "# i scenario" header, then an "i seq" and an "i par" line. Each
+// scenario's two Results must be equal, Work included.
 func goldenCorpus(t *testing.T, line func(runner, sim.Config) (string, error)) *bytes.Buffer {
 	t.Helper()
 	var out bytes.Buffer
+	var seq, res *sim.Result
+	keep := func(cfg sim.Config) (*sim.Result, error) {
+		var err error
+		res, err = sim.Run(cfg)
+		return res, err
+	}
 	for j, gc := range goldenCases(t) {
 		if j%2 == 0 {
 			fmt.Fprintf(&out, "# %d %s\n", j/2, gc.sc)
 		}
-		l, err := line(sim.Run, gc.cfg)
+		l, err := line(keep, gc.cfg)
 		if err != nil {
 			t.Fatalf("scenario %s (%s): %v", gc.name, gc.sc, err)
+		}
+		if j%2 == 0 {
+			seq = res
+		} else if *res != *seq {
+			t.Errorf("scenario %s (%s): engines disagree\nseq %+v\npar %+v", gc.name, gc.sc, *seq, *res)
 		}
 		fmt.Fprintf(&out, "%s %s\n", gc.name, l)
 	}
@@ -170,33 +180,17 @@ func compareGolden(t *testing.T, file string, got []byte) {
 
 const countersFile = "testdata/golden_counters.txt"
 
-// workCounters and workPeaks are the engine telemetry figures that count
-// work rather than sample it: each is maintained inline on the hot path, so
-// equal configs give equal values on every run. Peaks read off the ready
-// heaps and the calendar depth at flush time (ready_heap_peak,
-// cal_ring_depth_peak) depend on when a parallel chunk flushes and are left
-// out, as is everything wall-clock.
-var (
-	workCounters = []string{"cal_due_events", "cal_overflow_events", "waiter_pool_hits",
-		"waiter_pool_grows", "deliveries", "link_hops", "messages_injected", "boundary_msgs"}
-	workPeaks = []string{"know_slots_peak", "know_retire_lag_peak", "cal_overflow_peak",
-		"tx_queue_peak", "route_bytes"}
-)
-
-// countersLine runs cfg and renders its work counters and peaks.
+// countersLine runs cfg and renders its Result.Work, each field under its
+// JSON name.
 func countersLine(run runner, cfg sim.Config) (string, error) {
-	reg := telemetry.NewRegistry()
-	cfg.Telemetry = reg
-	if _, err := run(cfg); err != nil {
+	res, err := run(cfg)
+	if err != nil {
 		return "", err
 	}
-	snap := reg.Snapshot()
-	var fields []string
-	for _, name := range workCounters {
-		fields = append(fields, fmt.Sprintf("%s=%d", name, snap.Counter(name)))
-	}
-	for _, name := range workPeaks {
-		fields = append(fields, fmt.Sprintf("%s=%d", name, snap.Gauge(name)))
+	v := reflect.ValueOf(res.Work)
+	fields := make([]string, v.NumField())
+	for i := range fields {
+		fields[i] = fmt.Sprintf("%s=%d", v.Type().Field(i).Tag.Get("json"), v.Field(i).Int())
 	}
 	return strings.Join(fields, " "), nil
 }
@@ -224,12 +218,14 @@ func benchEngineConfig(t *testing.T) sim.Config {
 	}
 }
 
-// TestGoldenCounters pins the engines' exact work counters: the head of the
-// verify corpus on both engines, the engine benchmark's config on the
-// sequential engine, and a long-link config on both engines that reaches
-// the calendar's overflow heap. A change that moves the engine's work
-// without touching its event stream (say, waiter-node recycling) shows up
-// here and not in the digest file. Refresh it deliberately with
+// TestGoldenCounters pins the engines' exact work record, Result.Work: the
+// head of the verify corpus on both engines, the engine benchmark's config
+// on the sequential engine, and two long-link configs on both engines whose
+// arrivals reach the calendar's overflow heap, one with the long link inside
+// a chunk and one with it at the two-chunk cut. A change that moves the
+// engine's work without touching its event stream (say, waiter-node
+// recycling) shows up here and not in the digest file. Refresh it
+// deliberately with
 //
 //	go test ./internal/sim -run TestGoldenCounters -update
 //
@@ -241,35 +237,61 @@ func TestGoldenCounters(t *testing.T) {
 		t.Fatalf("bench config: %v", err)
 	}
 	fmt.Fprintf(out, "# bench: OVERLAP two-level on a 1024-host bimodal line, 64 steps\nbench seq %s\n", line)
-	long := longLinkConfig(t)
-	fmt.Fprintf(out, "# long: single-copy blocks on a 16-host line whose link 3 has delay 600, 6 steps\n")
-	for _, e := range []struct {
-		name    string
-		workers int
-	}{{"seq", 0}, {"par", 2}} {
-		long.Workers = e.workers
-		if line, err = countersLine(sim.Run, long); err != nil {
-			t.Fatalf("long-link config %s: %v", e.name, err)
+	for i, gc := range longLinkCases(t) {
+		if i%2 == 0 {
+			fmt.Fprintf(out, "# %s\n", longLinks[i/2].about)
 		}
-		fmt.Fprintf(out, "long %s %s\n", e.name, line)
+		prev := line
+		if line, err = countersLine(sim.Run, gc.cfg); err != nil {
+			t.Fatalf("%s: %v", gc.name, err)
+		}
+		if i%2 == 1 && line != prev {
+			t.Errorf("%s: engines disagree\nseq %s\npar %s", gc.name, prev, line)
+		}
+		fmt.Fprintf(out, "%s %s\n", gc.name, line)
 	}
 	compareGolden(t, countersFile, out.Bytes())
 }
 
-// longLinkConfig has one link whose delay, 600, exceeds the calendar ring's
-// 512-step span, so the arrivals it schedules spill into the overflow heap.
-// The link lies inside the first of two chunks, out of the cut's nudge
-// window, so both engines schedule those arrivals at the sending chunk's
-// own clock and the overflow counts do not depend on thread timing.
-func longLinkConfig(t *testing.T) sim.Config {
+// longLinks are single-copy blocks on a 16-host line, 6 steps, with one
+// link whose delay, 600, exceeds the calendar ring's 512-step span, so the
+// arrivals it carries spill into the overflow heap. On two chunks the cut
+// lands on link 7 (the work quantile is position 8 and the nudge picks the
+// largest delay near it): "long" keeps the long link inside the first
+// chunk, "longcut" puts it at the cut, where the receiving chunk schedules
+// the arrivals whenever it drains the boundary batch.
+var longLinks = []struct {
+	name  string
+	link  int
+	about string
+}{
+	{"long", 3, "long: single-copy blocks on a 16-host line whose link 3 has delay 600, 6 steps"},
+	{"longcut", 7, "longcut: the same with the delay-600 link at the two-chunk cut (link 7)"},
+}
+
+// longLinkCases builds each long-link config on the sequential engine and
+// on two chunks, named "<name> seq" and "<name> par".
+func longLinkCases(t *testing.T) []goldenCase {
 	t.Helper()
-	a, err := assign.SingleCopyBlocks(16, 32)
-	if err != nil {
-		t.Fatal(err)
+	var cases []goldenCase
+	for _, ll := range longLinks {
+		a, err := assign.SingleCopyBlocks(16, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		delays := []int{1, 2, 1, 3, 2, 1, 3, 1, 2, 1, 3, 2, 1, 2, 1}
+		delays[ll.link] = 600
+		for _, e := range []struct {
+			name    string
+			workers int
+		}{{"seq", 0}, {"par", 2}} {
+			cases = append(cases, goldenCase{name: ll.name + " " + e.name, cfg: sim.Config{
+				Delays:  delays,
+				Guest:   guest.Spec{Graph: guest.NewLinearArray(a.Columns), Steps: 6, Seed: 7},
+				Assign:  a,
+				Workers: e.workers,
+			}})
+		}
 	}
-	return sim.Config{
-		Delays: []int{1, 2, 1, 600, 2, 1, 3, 1, 2, 1, 3, 2, 1, 2, 1},
-		Guest:  guest.Spec{Graph: guest.NewLinearArray(a.Columns), Steps: 6, Seed: 7},
-		Assign: a,
-	}
+	return cases
 }

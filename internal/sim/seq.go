@@ -115,14 +115,27 @@ func collect(cfg *Config, chunks []*chunk) (*Result, error) {
 		chunks[0].tel.SetMax(chunks[0].met.rssPeakBytes, int64(telemetry.ReadPeakRSS()))
 	}
 	var dups int64
+	w := &res.Work
+	w.RouteBytes = chunks[0].rt.bytes()
 	for _, c := range chunks {
-		c.flushTelemetry() // final delta push; no-op without a registry
+		c.flushTelemetry() // final progress push; no-op without a registry
 		if c.lastComputeStep > res.HostSteps {
 			res.HostSteps = c.lastComputeStep
 		}
 		for i := range c.procs {
-			res.PebblesComputed += c.procs[i].computed
+			p := &c.procs[i]
+			res.PebblesComputed += p.computed
+			w.WaiterPoolHits += p.waitHits
+			w.WaiterPoolGrows += p.waitGrows
+			k := &p.know
+			w.KnowRingGrows += k.grows
+			w.KnowRingShrinks += k.shrinks
+			w.KnowLivePeak = max(w.KnowLivePeak, int64(k.livePeak))
+			w.KnowSlotsPeak = max(w.KnowSlotsPeak, int64(k.slotsPeak))
+			w.KnowRetireLagPeak = max(w.KnowRetireLagPeak, int64(k.retireLag))
+			w.KnowRingBytesPeak += int64(k.slotsPeak) * 16 // bytes per kslot
 		}
+		w.CalOverflowEvents += c.overflows
 		res.Messages += c.messages
 		res.MessageHops += c.hops
 		res.DeliveredValues += c.delivered

@@ -81,11 +81,13 @@ type Config struct {
 	// a column past the policy threshold. Fully deterministic: adaptive runs
 	// stay bit-identical across engines and worker counts (see adapt.go).
 	Adapt *adapt.Policy
-	// Telemetry, when non-nil, receives the engine's runtime metrics: Run
-	// registers the engine schema on it and both engines cut one shard per
-	// chunk, labelled "chunk[lo,hi)". Hot-path accumulation is
-	// plain fields flushed into the shard every 64 steps, so enabling it is
-	// cheap and nil disables it down to a single branch per step. See
+	// Telemetry, when non-nil, receives the figures that depend on the
+	// clock or the machine: Run registers the engine schema on it and both
+	// engines cut one shard per chunk, labelled "chunk[lo,hi)". Each chunk
+	// pushes its pebble progress every 64 steps; the parallel engine's
+	// boundary flushes, ring stalls and worker parks are written where they
+	// happen. Nil disables it down to a single branch per step.
+	// Deterministic work figures are in Result.Work either way. See
 	// internal/sim/telemetry.go for the metric names.
 	Telemetry *telemetry.Registry
 
@@ -149,6 +151,21 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("sim: link %d has delay %d < 1", i, d)
 		}
 	}
+	// Zero picks each knob's default; a negative value is a mistake, not
+	// a request for it.
+	for _, k := range []struct {
+		name string
+		v    int64
+	}{
+		{"Bandwidth", int64(c.Bandwidth)},
+		{"ComputePerStep", int64(c.ComputePerStep)},
+		{"MaxSteps", c.MaxSteps},
+		{"Workers", int64(c.Workers)},
+	} {
+		if k.v < 0 {
+			return fmt.Errorf("sim: %s = %d is negative", k.name, k.v)
+		}
+	}
 	if err := c.Assign.Validate(); err != nil {
 		return err
 	}
@@ -163,6 +180,11 @@ func (c *Config) Validate() error {
 	}
 	return nil
 }
+
+// Work is a run's deterministic engine work record; package telemetry owns
+// its schema so the run manifest carries the same fields under the same
+// names.
+type Work = telemetry.Work
 
 // Result reports what a run measured. Every field is deterministic: equal
 // configurations give equal Results on either engine and any worker count.
@@ -188,6 +210,10 @@ type Result struct {
 	// AdaptActivations is how many standby replicas the adaptive controller
 	// activated (0 unless Config.Adapt is enabled).
 	AdaptActivations int
+
+	// Work holds the engine's remaining work counts and peaks: waiter
+	// pool, knowledge rings, calendar overflow and route-table footprint.
+	Work Work
 }
 
 // ObsInfo builds the static run facts package obs's instruments need

@@ -69,9 +69,8 @@ func TestSmokeParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("par: %v", err)
 		}
-		if rs.HostSteps != rp.HostSteps || rs.PebblesComputed != rp.PebblesComputed ||
-			rs.Messages != rp.Messages || rs.MessageHops != rp.MessageHops {
-			t.Fatalf("delay %d: engines disagree: seq=%+v par=%+v", delay, rs, rp)
+		if *rs != *rp {
+			t.Fatalf("delay %d: engines disagree: seq=%+v par=%+v", delay, *rs, *rp)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"latencyhide/internal/adapt"
 	"latencyhide/internal/assign"
 	"latencyhide/internal/fault"
 	"latencyhide/internal/guest"
@@ -33,49 +34,67 @@ func TestTelemetrySequentialAgreesWithResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
-	// The deterministic counters must agree exactly with the Result the
-	// engine already reports — telemetry is a view, not a second accounting.
+	// The progress push must end at the Result's count: telemetry is a
+	// view, not a second accounting.
 	for _, tc := range []struct {
 		name string
 		want int64
 	}{
 		{"pebbles_computed", res.PebblesComputed},
 		{"pebbles_total", res.PebblesComputed}, // complete run: all work done
-		{"messages_injected", res.Messages},
-		{"link_hops", res.MessageHops},
-		{"deliveries", res.DeliveredValues},
 	} {
 		if got := snap.Counter(tc.name); got != tc.want {
 			t.Errorf("counter %s = %d, want %d", tc.name, got, tc.want)
 		}
 	}
-	if snap.Counter("cal_due_events") <= 0 {
-		t.Error("cal_due_events not counted")
+	// The schema is the 12 clock- or machine-dependent figures; the work
+	// counts live in Result.Work.
+	if names := reg.Names(); len(names) != 12 {
+		t.Errorf("engine schema has %d metrics, want 12: %v", len(names), names)
 	}
-	if snap.Gauge("cal_ring_depth_peak") <= 0 {
-		t.Error("cal_ring_depth_peak not tracked")
-	}
-	if snap.Gauge("tx_queue_peak") <= 0 {
-		t.Error("tx_queue_peak not tracked")
-	}
-	if snap.Counter("waiter_pool_hits")+snap.Counter("waiter_pool_grows") <= 0 {
+	w := res.Work
+	if w.WaiterPoolHits+w.WaiterPoolGrows <= 0 {
 		t.Error("waiter pool not tracked")
 	}
-	if snap.Gauge("know_live_peak") <= 0 || snap.Gauge("know_slots_peak") <= 0 {
-		t.Errorf("dense knowledge gauges empty: live=%d slots=%d",
-			snap.Gauge("know_live_peak"), snap.Gauge("know_slots_peak"))
+	if w.KnowLivePeak <= 0 || w.KnowSlotsPeak <= 0 || w.KnowRingBytesPeak <= 0 {
+		t.Errorf("knowledge-ring figures empty: %+v", w)
 	}
 	// Retirement always trails the frontier by at least one step on a line.
-	if snap.Gauge("know_retire_lag_peak") < 1 {
-		t.Errorf("know_retire_lag_peak = %d, want >= 1", snap.Gauge("know_retire_lag_peak"))
+	if w.KnowRetireLagPeak < 1 {
+		t.Errorf("know_retire_lag_peak = %d, want >= 1", w.KnowRetireLagPeak)
 	}
-	h, ok := snap.Hists["cal_due_per_step"]
-	if !ok || h.Count <= 0 {
-		t.Error("cal_due_per_step histogram empty")
+	if w.RouteBytes <= 0 {
+		t.Error("route_bytes not reported")
 	}
 	// Sequential engine must not report parallel-only metrics.
 	if snap.Gauge("ring_occupancy_peak") != 0 || snap.Counter("boundary_flushes") != 0 {
 		t.Error("sequential run reported boundary telemetry")
+	}
+}
+
+// Progress ends at the total on runs whose work changes mid-run: standby
+// activations add pebbles, and a crash-stop writes its host's off.
+func TestProgressEndsAtTotal(t *testing.T) {
+	adaptive := adaptiveConfig(t, 16, 32)
+	adaptive.Faults = &fault.Plan{Seed: 7, Churns: []fault.Churn{{Link: -1, Up: 12, Down: 4}}}
+	adaptive.Adapt = &adapt.Policy{Epoch: 16, Threshold: 0.25, MaxExtra: 1, Budget: 8}
+	crash := adaptiveConfig(t, 8, 8)
+	crash.Faults = &fault.Plan{Seed: 1, Crashes: []fault.Crash{{Host: 3, Step: 5}}}
+	for name, cfg := range map[string]Config{"adaptive": adaptive, "crash": crash} {
+		for _, workers := range []int{0, 2} {
+			reg := telemetry.NewRegistry()
+			cfg.Telemetry, cfg.Workers = reg, workers
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("%s, %d workers: %v", name, workers, err)
+			}
+			snap := reg.Snapshot()
+			done, total := snap.Counter("pebbles_computed"), snap.Counter("pebbles_total")
+			if done != res.PebblesComputed || total != done {
+				t.Errorf("%s, %d workers: pebbles_computed %d, pebbles_total %d, Result %d",
+					name, workers, done, total, res.PebblesComputed)
+			}
+		}
 	}
 }
 
@@ -97,9 +116,6 @@ func TestTelemetryParallelBoundaryMetrics(t *testing.T) {
 	snap := reg.Snapshot()
 	if got := snap.Counter("pebbles_computed"); got != res.PebblesComputed {
 		t.Errorf("pebbles_computed = %d, want %d", got, res.PebblesComputed)
-	}
-	if got := snap.Counter("messages_injected"); got != res.Messages {
-		t.Errorf("messages_injected = %d, want %d", got, res.Messages)
 	}
 	if snap.Counter("boundary_flushes") <= 0 || snap.Counter("boundary_msgs") <= 0 {
 		t.Errorf("boundary coalescing not tracked: flushes=%d msgs=%d",
@@ -130,9 +146,8 @@ func TestTelemetryParallelBoundaryMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.HostSteps != res.HostSteps || res2.PebblesComputed != res.PebblesComputed ||
-		res2.MessageHops != res.MessageHops {
-		t.Errorf("telemetry perturbed the run: %+v vs %+v", res, res2)
+	if *res2 != *res {
+		t.Errorf("telemetry perturbed the run: %+v vs %+v", *res, *res2)
 	}
 }
 

@@ -75,13 +75,38 @@ type VerifySummary struct {
 	Failures  int            `json:"failures"`
 }
 
+// Work is the engine's deterministic work record for one run (sim.Result's
+// Work field): counts and peaks that equal configurations reproduce exactly
+// on either engine and any worker count. The JSON tags are the figures'
+// names everywhere: the manifest's work section and the golden counter
+// file. Renaming one is a schema change.
+type Work struct {
+	WaiterPoolHits  int64 `json:"waiter_pool_hits"`  // waiter nodes recycled from the freelist
+	WaiterPoolGrows int64 `json:"waiter_pool_grows"` // waiter nodes that grew the pool
+	KnowRingGrows   int64 `json:"know_ring_grows"`   // knowledge rings that outgrew their window
+	KnowRingShrinks int64 `json:"know_ring_shrinks"` // knowledge rings shrunk back after a spike
+	// Peaks over workstations: live knowledge slots, allocated ring slots,
+	// and unretired steps behind a column's frontier.
+	KnowLivePeak      int64 `json:"know_live_peak"`
+	KnowSlotsPeak     int64 `json:"know_slots_peak"`
+	KnowRetireLagPeak int64 `json:"know_retire_lag_peak"`
+	// KnowRingBytesPeak sums every workstation's peak ring footprint: an
+	// upper bound on the run's simultaneous knowledge-ring bytes.
+	KnowRingBytesPeak int64 `json:"know_ring_bytes_peak"`
+	// CalOverflowEvents counts link crossings whose arrival lies a calendar
+	// ring span or more after their send step (the overflow-heap path).
+	CalOverflowEvents int64 `json:"cal_overflow_events"`
+	RouteBytes        int64 `json:"route_bytes"` // resident footprint of the route table
+}
+
 // RunManifest is the machine-readable record of one latencysim invocation:
 // what ran (config hash + scenario spec), on which engine, how long it took,
-// what the engine's telemetry registry measured, how memory evolved, and
-// where the time went (stall tiling). `latencysim run|sweep|exp|verify|twin
-// -manifest-out` emit it; `latencysim manifest -check` validates it; fleet
-// sweeps record their shard plan and store path in the Fleet section and
-// twin reports their per-theorem scores in the Twin section.
+// the engine's deterministic work (run only), what the engine's telemetry
+// registry measured, how memory evolved, and where the time went (stall
+// tiling). `latencysim run|sweep|exp|verify|twin -manifest-out` emit it;
+// `latencysim manifest -check` validates it; fleet sweeps record their shard
+// plan and store path in the Fleet section and twin reports their
+// per-theorem scores in the Twin section.
 type RunManifest struct {
 	Schema     string `json:"schema"`
 	Command    string `json:"command"`
@@ -102,6 +127,7 @@ type RunManifest struct {
 	BytesPerPebble float64 `json:"bytes_per_pebble,omitempty"` // allocated bytes / pebble
 	PeakRSSBytes   uint64  `json:"peak_rss_bytes,omitempty"`
 
+	Work    *Work     `json:"work,omitempty"`
 	Metrics *Snapshot `json:"metrics,omitempty"`
 
 	MemSeries []MemSample `json:"mem_series,omitempty"`
@@ -173,9 +199,9 @@ func LoadManifest(path string) (*RunManifest, error) {
 }
 
 // Validate checks the manifest's structural contract: correct schema id, a
-// known command, and — for engine-bearing commands — nonzero run figures and
-// the telemetry the engine promises. Parallel runs must additionally carry
-// SPSC ring occupancy and published-clock lag; the sequential engine has no
+// known command, and, for a run, nonzero run figures, the work section and
+// the engine's progress counter. Parallel runs must additionally carry SPSC
+// ring occupancy and published-clock lag; the sequential engine has no
 // boundary rings, so those are exempt.
 func (m *RunManifest) Validate() error {
 	var errs []string
@@ -206,27 +232,23 @@ func (m *RunManifest) Validate() error {
 		if m.BytesPerPebble <= 0 {
 			fail("bytes_per_pebble must be > 0")
 		}
+		// Every run holds knowledge rings and builds a route table, so
+		// both footprints must be reported.
+		if m.Work == nil {
+			fail("missing work section")
+		} else {
+			if m.Work.KnowRingBytesPeak <= 0 {
+				fail("work know_ring_bytes_peak must be > 0")
+			}
+			if m.Work.RouteBytes <= 0 {
+				fail("work route_bytes must be > 0")
+			}
+		}
 		if m.Metrics == nil {
 			fail("missing metrics snapshot")
 		} else {
-			need := []string{"cal_due_events"}
-			for _, name := range need {
-				if m.Metrics.Counter(name) <= 0 {
-					fail("counter %s must be > 0", name)
-				}
-			}
-			if m.Metrics.Gauge("cal_ring_depth_peak") <= 0 {
-				fail("gauge cal_ring_depth_peak must be > 0")
-			}
-			// Memory-budget gauges: every run has knowledge rings, so
-			// their peak footprint must be reported; the route table is
-			// only nonzero when the run actually routed messages; peak RSS
-			// is best-effort (0 = unknown on non-Linux / restricted proc).
-			if m.Metrics.Gauge("know_ring_bytes_peak") <= 0 {
-				fail("gauge know_ring_bytes_peak must be > 0")
-			}
-			if m.Metrics.Counter("messages_injected") > 0 && m.Metrics.Gauge("route_bytes") <= 0 {
-				fail("gauge route_bytes must be > 0 when messages were injected")
+			if m.Metrics.Counter("pebbles_computed") <= 0 {
+				fail("counter pebbles_computed must be > 0")
 			}
 			if m.Engine == "parallel" {
 				if m.Metrics.Gauge("ring_occupancy_peak") <= 0 {

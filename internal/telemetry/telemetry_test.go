@@ -185,15 +185,10 @@ func TestManifestRoundTripAndValidate(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/m.json"
 	snap := &Snapshot{
-		Counters: map[string]int64{"cal_due_events": 123, "messages_injected": 40},
-		Gauges: map[string]int64{
-			"cal_ring_depth_peak":  4,
-			"ring_occupancy_peak":  2,
-			"pubclock_lag_max":     17,
-			"know_ring_bytes_peak": 2048,
-			"route_bytes":          512,
-		},
+		Counters: map[string]int64{"pebbles_computed": 1000, "boundary_msgs": 40},
+		Gauges:   map[string]int64{"ring_occupancy_peak": 2, "pubclock_lag_max": 17},
 	}
+	work := &Work{KnowRingBytesPeak: 2048, RouteBytes: 512, WaiterPoolHits: 7}
 	m := &RunManifest{
 		Command:        "run",
 		ConfigHash:     hashArgs(t, "-n", "256"),
@@ -203,6 +198,7 @@ func TestManifestRoundTripAndValidate(t *testing.T) {
 		WallSeconds:    0.5,
 		Pebbles:        1000,
 		BytesPerPebble: 24.5,
+		Work:           work,
 		Metrics:        snap,
 	}
 	if err := m.WriteFile(path); err != nil {
@@ -215,19 +211,16 @@ func TestManifestRoundTripAndValidate(t *testing.T) {
 	if got.Schema != ManifestSchema {
 		t.Errorf("schema = %q", got.Schema)
 	}
+	if got.Work == nil || *got.Work != *work {
+		t.Errorf("work section round-tripped to %+v, want %+v", got.Work, work)
+	}
 	if err := got.Validate(); err != nil {
 		t.Errorf("valid manifest rejected: %v", err)
 	}
 
 	// A parallel run without ring telemetry must be rejected.
 	bad := *got
-	bad.Metrics = &Snapshot{
-		Counters: map[string]int64{"cal_due_events": 123},
-		Gauges: map[string]int64{
-			"cal_ring_depth_peak":  4,
-			"know_ring_bytes_peak": 2048,
-		},
-	}
+	bad.Metrics = &Snapshot{Counters: map[string]int64{"pebbles_computed": 1000}}
 	if err := bad.Validate(); err == nil ||
 		!strings.Contains(err.Error(), "ring_occupancy_peak") {
 		t.Errorf("missing ring telemetry not flagged: %v", err)
@@ -239,40 +232,22 @@ func TestManifestRoundTripAndValidate(t *testing.T) {
 	if err := seq.Validate(); err != nil {
 		t.Errorf("sequential manifest rejected: %v", err)
 	}
-	// Knowledge-ring footprint is mandatory for every run...
-	noMem := seq
-	noMem.Metrics = &Snapshot{
-		Counters: map[string]int64{"cal_due_events": 123},
-		Gauges:   map[string]int64{"cal_ring_depth_peak": 4},
-	}
-	if err := noMem.Validate(); err == nil ||
-		!strings.Contains(err.Error(), "know_ring_bytes_peak") {
-		t.Errorf("missing know_ring_bytes_peak not flagged: %v", err)
-	}
-	// ...while route_bytes is only required once messages were injected:
-	// a run that never routed (single host, no replication) reports zero.
-	routed := seq
-	routed.Metrics = &Snapshot{
-		Counters: map[string]int64{"cal_due_events": 123, "messages_injected": 9},
-		Gauges: map[string]int64{
-			"cal_ring_depth_peak":  4,
-			"know_ring_bytes_peak": 2048,
-		},
-	}
-	if err := routed.Validate(); err == nil ||
-		!strings.Contains(err.Error(), "route_bytes") {
-		t.Errorf("routed run without route_bytes not flagged: %v", err)
-	}
-	unrouted := routed
-	unrouted.Metrics = &Snapshot{
-		Counters: map[string]int64{"cal_due_events": 123},
-		Gauges: map[string]int64{
-			"cal_ring_depth_peak":  4,
-			"know_ring_bytes_peak": 2048,
-		},
-	}
-	if err := unrouted.Validate(); err != nil {
-		t.Errorf("message-free run rejected for zero route_bytes: %v", err)
+	// Every run reports its progress counter and its work section, with
+	// both memory footprints.
+	for _, c := range []struct {
+		name string
+		edit func(*RunManifest)
+	}{
+		{"pebbles_computed", func(m *RunManifest) { m.Metrics = &Snapshot{} }},
+		{"missing work section", func(m *RunManifest) { m.Work = nil }},
+		{"know_ring_bytes_peak", func(m *RunManifest) { m.Work = &Work{RouteBytes: 512} }},
+		{"route_bytes", func(m *RunManifest) { m.Work = &Work{KnowRingBytesPeak: 2048} }},
+	} {
+		bad := seq
+		c.edit(&bad)
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), c.name) {
+			t.Errorf("%s not flagged: %v", c.name, err)
+		}
 	}
 	// Wrong schema fails.
 	ws := *got
