@@ -17,6 +17,7 @@ package assign
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"latencyhide/internal/guest"
@@ -275,21 +276,18 @@ func overlapSpan(t *tree.Tree, span unitSpan) (*Assignment, error) {
 	}
 	m := nUnits * span.B
 	owned := make([][]int, t.N)
+	var cols []int // scratch: p's unit ranges, overlaps included
 	for p, us := range units {
-		set := make(map[int]bool)
+		cols = cols[:0]
 		for _, u := range us {
 			lo, hi := span.columns(u, m)
 			for c := lo; c < hi; c++ {
-				set[c] = true
-			}
-		}
-		if len(set) > 0 {
-			cols := make([]int, 0, len(set))
-			for c := range set {
 				cols = append(cols, c)
 			}
-			sort.Ints(cols)
-			owned[p] = cols
+		}
+		if len(cols) > 0 {
+			slices.Sort(cols)
+			owned[p] = slices.Clone(slices.Compact(cols))
 		}
 	}
 	return FromOwned(t.N, m, owned)

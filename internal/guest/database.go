@@ -58,7 +58,15 @@ type MixDB struct {
 
 // NewMixDB is a Factory producing MixDB databases.
 func NewMixDB(node int, seed int64) Database {
-	return &MixDB{node: node, state: initDigest(node, seed)}
+	d := new(MixDB)
+	d.Reset(node, seed)
+	return d
+}
+
+// Reset makes d the initial database NewMixDB(node, seed) returns, in
+// place, so callers that hold many replicas can keep them in one slice.
+func (d *MixDB) Reset(node int, seed int64) {
+	*d = MixDB{node: node, state: initDigest(node, seed)}
 }
 
 // Node implements Database.

@@ -175,7 +175,7 @@ func (a *adaptState) faultCtx(cfg *Config, host, col int, lo, hi int64) bool {
 		if a.dead[h] {
 			continue
 		}
-		if best == -1 || absInt(h-host) < absInt(best-host) {
+		if best == -1 || max(h-host, host-h) < max(best-host, host-best) {
 			best = h
 		}
 	}
@@ -188,10 +188,7 @@ func (a *adaptState) faultCtx(cfg *Config, host, col int, lo, hi int64) bool {
 		}
 	}
 	links := len(cfg.Delays)
-	loL, hiL := host, best
-	if loL > hiL {
-		loL, hiL = hiL, loL
-	}
+	loL, hiL := min(host, best), max(host, best)
 	jit := plan.JitterLinks(links)
 	spk := plan.SpikeLinks(links)
 	for l := loL; l < hiL; l++ {
@@ -205,13 +202,6 @@ func (a *adaptState) faultCtx(cfg *Config, host, col int, lo, hi int64) bool {
 		}
 	}
 	return false
-}
-
-func absInt(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // activate flips one standby replica live, effective at d.Step: ready at
@@ -233,7 +223,7 @@ func activate(chunks []*chunk, d adapt.Decision) int64 {
 				continue
 			}
 			oc.dormant = false
-			p.ready.push(readyKey(1, int32(i)))
+			p.ready.push(1, int32(i))
 			if !p.active {
 				p.active = true
 				c.activeList = append(c.activeList, p.pos)

@@ -1,6 +1,10 @@
 package sim
 
-import "slices"
+import (
+	"fmt"
+	"math/bits"
+	"slices"
+)
 
 // This file holds the engine's two event queues, both allocation-free on the
 // hot path:
@@ -11,11 +15,14 @@ import "slices"
 //     buckets indexed by step mod ring-size serves the common case in O(1)
 //     with zero boxing; rare far-future arrivals (delay >= the ring span)
 //     spill into a typed overflow min-heap and pop from there when due.
-//   - readyQueue: a typed binary min-heap over packed uint64 (step<<32|idx)
-//     keys for computable pebbles, replacing container/heap's boxed
-//     Push/Pop.
+//   - readySet: each workstation's computable pebbles, a ring of per-step
+//     bitsets over owned-column indexes. pop returns the lowest set bit of
+//     the lowest non-empty step: the (step, idx) order of the binary heap
+//     it replaced, with no sifts. Its buckets are carved from the chunk's
+//     arena memory and grow only when the live steps span more buckets
+//     than the ring has.
 //
-// Invariants (see DESIGN.md "Bucketed calendar"):
+// Calendar invariants (see DESIGN.md "Bucketed calendar"):
 //
 //   - `now` is monotone non-decreasing and never jumps past a scheduled
 //     event (nextEvent returns the earliest pending step).
@@ -170,48 +177,74 @@ func (c *bucketCal) takeDue(now int64) []int32 {
 	return due
 }
 
-// readyQueue orders computable pebbles by packed (step, owned-column index)
-// keys; a typed min-heap with no interface boxing.
-type readyQueue []uint64
-
-func readyKey(step int32, idx int32) uint64 { return uint64(uint32(step))<<32 | uint64(uint32(idx)) }
-
-func (h *readyQueue) push(k uint64) {
-	*h = append(*h, k)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if s[i] >= s[parent] {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
+// readySet holds one workstation's computable pebbles: a bitset over its
+// owned-column indexes per guest step, in a ring of power-of-two buckets
+// (bucket = step & mask) covering the live steps [lo, hi]. Every set bit
+// lies in a live step's bucket and each owned column has at most one entry,
+// so the lowest bit of the lowest non-empty bucket is the (step, idx) min.
+type readySet struct {
+	bits   []uint64 // bucket b is bits[b*words : (b+1)*words]
+	words  int32    // words per bucket: one bit per owned column
+	mask   int32    // buckets - 1
+	lo, hi int32    // live steps, meaningful while n > 0
+	n      int32    // entries
 }
 
-func (h *readyQueue) pop() uint64 {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		least := i
-		if l < n && s[l] < s[least] {
-			least = l
-		}
-		if r < n && s[r] < s[least] {
-			least = r
-		}
-		if least == i {
-			break
-		}
-		s[i], s[least] = s[least], s[i]
-		i = least
+// readyBuckets is the ring size newChunk carves per workstation from the
+// chunk's arena memory; push grows a ring only when the live steps span
+// more buckets than it has.
+const readyBuckets = 4
+
+func readyWords(cols int) int { return (cols + 63) / 64 }
+
+// bucket returns the offset of step's bucket in bits.
+func (r *readySet) bucket(step int32) int { return int(step&r.mask) * int(r.words) }
+
+// push records owned column idx as computable at step. A second entry for
+// one column is a scheduling bug and panics.
+func (r *readySet) push(step, idx int32) {
+	lo, hi := step, step
+	if r.n > 0 {
+		lo, hi = min(r.lo, step), max(r.hi, step)
 	}
-	return top
+	if hi-lo > r.mask {
+		// Grow: double the ring until it covers [lo, hi] and move the live
+		// buckets to their new slots.
+		n := 2 * (r.mask + 1)
+		for hi-lo >= n {
+			n *= 2
+		}
+		ring := make([]uint64, int(n)*int(r.words))
+		for s := r.lo; s <= r.hi; s++ {
+			b := r.bucket(s)
+			copy(ring[int(s&(n-1))*int(r.words):], r.bits[b:b+int(r.words)])
+		}
+		r.bits, r.mask = ring, n-1
+	}
+	r.lo, r.hi = lo, hi
+	w, bit := int(idx>>6), uint64(1)<<(idx&63)
+	for s := lo; s <= hi; s++ {
+		if r.bits[r.bucket(s)+w]&bit != 0 {
+			panic(fmt.Sprintf("sim: column %d pushed ready at step %d while queued at step %d", idx, step, s))
+		}
+	}
+	r.bits[r.bucket(step)+w] |= bit
+	r.n++
+}
+
+// pop removes and returns the lowest (step, idx) entry; the set must not
+// be empty.
+func (r *readySet) pop() (step, idx int32) {
+	for s := r.lo; s <= r.hi; s++ {
+		b := r.bits[r.bucket(s):][:r.words]
+		for i, x := range b {
+			if x != 0 {
+				b[i] = x & (x - 1)
+				r.lo = s
+				r.n--
+				return s, int32(i*64 + bits.TrailingZeros64(x))
+			}
+		}
+	}
+	panic("sim: pop from an empty ready set")
 }

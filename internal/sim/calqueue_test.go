@@ -156,33 +156,131 @@ func TestBucketCalOverflowMigration(t *testing.T) {
 	}
 }
 
-// TestReadyQueueOrdering checks the typed min-heap pops packed keys in
-// ascending order under interleaved pushes and pops.
-func TestReadyQueueOrdering(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	var q readyQueue
-	var popped []uint64
-	live := 0
-	for i := 0; i < 5000; i++ {
-		if live == 0 || r.Intn(3) > 0 {
-			q.push(readyKey(int32(r.Intn(1000)), int32(r.Intn(1000))))
-			live++
-		} else {
-			popped = append(popped, q.pop())
-			live--
+// runReadyScript interprets op bytes against a readySet and a sorted oracle
+// of packed (step<<32 | idx) keys, failing on any divergence in pop order.
+// The first byte sizes the workstation (1..256 owned columns). Each later
+// byte triple either pops or pushes a column that is not queued, the
+// engine's contract of one entry per owned column, at a step up to 128
+// below or 127 above the lowest queued step. Pushes below the minimum are
+// what recordValue and standby activation (always step 1) do; spans beyond
+// the ring's buckets force it to grow. It returns the ring's final bucket
+// count.
+func runReadyScript(t *testing.T, data []byte) int32 {
+	t.Helper()
+	if len(data) == 0 {
+		return 0
+	}
+	n := int(data[0]) + 1
+	w := readyWords(n)
+	r := readySet{bits: make([]uint64, readyBuckets*w), words: int32(w), mask: readyBuckets - 1}
+	var want []uint64
+	queued := make([]bool, n)
+	base := int32(1) // the lowest queued step, or the last one popped
+	pop := func() {
+		step, idx := r.pop()
+		if got := uint64(step)<<32 | uint64(idx); got != want[0] {
+			t.Fatalf("pop (%d, %d), oracle (%d, %d)", step, idx, want[0]>>32, uint32(want[0]))
+		}
+		want, queued[idx], base = want[1:], false, step
+	}
+	for i := 1; i+2 < len(data); i += 3 {
+		if data[i]%4 == 0 && len(want) > 0 {
+			pop()
+			continue
+		}
+		idx := int(data[i+1]) % n
+		for queued[idx] {
+			idx = (idx + 1) % n
+			if idx == int(data[i+1])%n {
+				break // every column is queued
+			}
+		}
+		if queued[idx] {
+			pop()
+			continue
+		}
+		if len(want) > 0 {
+			base = int32(want[0] >> 32)
+		}
+		step := max(1, base+int32(data[i+2])-128)
+		r.push(step, int32(idx))
+		k := uint64(step)<<32 | uint64(idx)
+		j, _ := slices.BinarySearch(want, k)
+		want, queued[idx] = slices.Insert(want, j, k), true
+		if int(r.n) != len(want) {
+			t.Fatalf("ready set holds %d entries, oracle %d", r.n, len(want))
 		}
 	}
-	tailStart := len(popped)
-	for live > 0 {
-		popped = append(popped, q.pop())
-		live--
+	for len(want) > 0 {
+		pop()
 	}
-	// With no pushes interleaved, the final drain must come out in fully
-	// ascending order (pop always returns the global minimum).
-	if !slices.IsSorted(popped[tailStart:]) {
-		t.Fatal("final drain not in ascending order")
+	if r.n != 0 || slices.ContainsFunc(r.bits, func(x uint64) bool { return x != 0 }) {
+		t.Fatalf("ready set not empty after the drain: n=%d", r.n)
 	}
-	if len(q) != 0 {
-		t.Fatalf("queue not empty: %d left", len(q))
+	return r.mask + 1
+}
+
+// TestReadySetOrdering checks the ready set against the sorted oracle over
+// random scripts, from a single word to several words per bucket, and that
+// the scripts' wide spans did grow the ring.
+func TestReadySetOrdering(t *testing.T) {
+	for _, n := range []int{1, 63, 64, 65, 256} {
+		r := rand.New(rand.NewSource(int64(n)))
+		data := make([]byte, 1+3*5000)
+		r.Read(data)
+		data[0] = byte(n - 1)
+		if buckets := runReadyScript(t, data); n > 1 && buckets <= readyBuckets {
+			t.Fatalf("%d columns: the ring never grew", n)
+		}
 	}
+	// A step-1 push below a higher minimum, then a span of 9 steps that a
+	// 4-bucket ring must grow (to 16) to hold.
+	r := readySet{bits: make([]uint64, readyBuckets), words: 1, mask: readyBuckets - 1}
+	r.push(5, 2)
+	r.push(1, 7)
+	r.push(9, 0)
+	r.push(5, 1)
+	if r.mask != 15 {
+		t.Fatalf("ring mask %d after a 9-step span, want 15", r.mask)
+	}
+	var got [][2]int32
+	for r.n > 0 {
+		step, idx := r.pop()
+		got = append(got, [2]int32{step, idx})
+	}
+	if want := [][2]int32{{1, 7}, {5, 1}, {5, 2}, {9, 0}}; !slices.Equal(got, want) {
+		t.Fatalf("pop order %v, want %v", got, want)
+	}
+}
+
+// TestReadySetRejectsSecondPush checks the one-entry-per-column guard at
+// the same step and at another live step.
+func TestReadySetRejectsSecondPush(t *testing.T) {
+	for _, second := range []int32{4, 6} {
+		r := readySet{bits: make([]uint64, readyBuckets), words: 1, mask: readyBuckets - 1}
+		r.push(4, 3)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("second push of column 3 at step %d did not panic", second)
+				}
+			}()
+			r.push(second, 3)
+		}()
+	}
+}
+
+// FuzzReadySet drives random push/pop scripts through the ready set and
+// the sorted oracle side by side.
+func FuzzReadySet(f *testing.F) {
+	// Seeds: one column, a one-word set with pushes far below and above the
+	// minimum, and a random multi-word script.
+	f.Add([]byte{0, 1, 0, 128, 0, 0, 200, 0, 0, 0})
+	f.Add([]byte{63, 1, 5, 255, 1, 6, 0, 1, 7, 128, 0, 0, 0, 0, 0, 0})
+	seed := make([]byte, 301)
+	rand.New(rand.NewSource(42)).Read(seed)
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		runReadyScript(t, data)
+	})
 }

@@ -152,7 +152,7 @@ type proc struct {
 	know      denseKnow
 	waitPool  []waitNode
 	waitFree  int32 // freelist head, -1 when empty
-	ready     readyQueue
+	ready     readySet
 	active    bool // member of the chunk's active list
 	crashed   bool // crash-stopped: never computes again
 	computed  int64
@@ -220,7 +220,7 @@ type chunk struct {
 	inLeft, inRight dlink
 
 	cal        bucketCal
-	activeList []int32 // positions with non-empty ready heaps
+	activeList []int32 // positions with non-empty ready sets
 	txActive   []int32 // encoded links with queued messages: pos*2 (+1 left)
 	txFlag     []bool  // indexed by link code
 	// activeSpare/txSpare are the previous step's drained lists, recycled as
@@ -272,7 +272,8 @@ type chunkMem struct {
 	nbCol   []int32
 	nbDense []int32
 	depVals []uint64
-	ready   readyQueue
+	ready   []uint64 // readySet rings, readyBuckets per workstation
+	dbs     []guest.MixDB
 	rings   []kring
 	slots   []kslot
 	links   []dlink
@@ -311,7 +312,9 @@ func newChunk(c *chunk, cfg *Config, rt *routeTable, lo, hi int) *chunk {
 	if cfg.Recorder != nil {
 		c.buf = obs.NewBuffer()
 	}
-	factory := cfg.Guest.Factory()
+	// The default database is built in place in mem.dbs; a custom factory
+	// is called once per replica.
+	factory := cfg.Guest.NewDatabase
 	neighbors := cfg.Guest.Graph.Neighbors
 	// held lists a position's base columns, then its standbys.
 	held := func(pos int) []int {
@@ -321,9 +324,11 @@ func newChunk(c *chunk, cfg *Config, rt *routeTable, lo, hi int) *chunk {
 		}
 		return cols
 	}
-	var nCols, nSlots int
+	var nCols, nSlots, nReady int
 	for pos := lo; pos < hi; pos++ {
-		for _, col := range held(pos) {
+		all := held(pos)
+		nReady += readyBuckets * readyWords(len(all))
+		for _, col := range all {
 			nCols++
 			nSlots += len(neighbors(col))
 		}
@@ -334,7 +339,11 @@ func newChunk(c *chunk, cfg *Config, rt *routeTable, lo, hi int) *chunk {
 	m := &c.mem
 	m.cols, m.nbCol = reuse(m.cols, nCols), reuse(m.nbCol, nSlots)
 	m.nbDense, m.depVals = reuse(m.nbDense, nSlots), reuse(m.depVals, nSlots)
-	m.ready = reuse(m.ready, nCols)
+	m.ready = reuse(m.ready, nReady)
+	clear(m.ready)
+	if factory == nil {
+		m.dbs = reuse(m.dbs, nCols)
+	}
 	// Knowledge rings: position pos's universe is rt.universe(pos), and its
 	// rings are the matching span of one chunk-wide array.
 	uLo := rt.uniOff[lo]
@@ -343,6 +352,7 @@ func newChunk(c *chunk, cfg *Config, rt *routeTable, lo, hi int) *chunk {
 	clear(m.rings)
 	clear(m.slots)
 	cols, nbCol, nbDense, depVals := m.cols[:0], m.nbCol[:0], m.nbDense[:0], m.depVals[:0]
+	ready := m.ready
 	for pos := lo; pos < hi; pos++ {
 		p := &c.procs[pos-lo]
 		*p = proc{pos: int32(pos), waitFree: -1, waitPool: p.waitPool[:0]}
@@ -356,7 +366,13 @@ func newChunk(c *chunk, cfg *Config, rt *routeTable, lo, hi int) *chunk {
 		rings := m.rings[r0 : r0+len(universe)]
 		c0, s0 := len(cols), len(nbCol)
 		for i, col := range all {
-			oc := ownedCol{col: int32(col), next: 1, db: factory(col, cfg.Guest.Seed)}
+			oc := ownedCol{col: int32(col), next: 1}
+			if factory == nil {
+				m.dbs[len(cols)].Reset(col, cfg.Guest.Seed)
+				oc.db = &m.dbs[len(cols)]
+			} else {
+				oc.db = factory(col, cfg.Guest.Seed)
+			}
 			oc.selfDense = denseIndex(universe, oc.col)
 			rings[oc.selfDense].cons++
 			oc.nbOff = int32(len(nbCol) - s0)
@@ -392,13 +408,15 @@ func newChunk(c *chunk, cfg *Config, rt *routeTable, lo, hi int) *chunk {
 			p.depBlame = make([]int64, len(p.depVals))
 		}
 		p.know = newDenseKnow(universe, rings, m.slots[r0*initRingSlots:(r0+len(rings))*initRingSlots])
+		w := readyWords(len(all))
+		p.ready = readySet{bits: ready[:readyBuckets*w], words: int32(w), mask: readyBuckets - 1}
+		ready = ready[readyBuckets*w:]
 		// All step-0 values are initial state, known everywhere, so every
 		// base column starts ready (when T >= 1). Standby columns wait for
 		// activation.
 		if c.T >= 1 {
-			p.ready = m.ready[c0:c0:len(cols)]
 			for i := 0; i < base; i++ {
-				p.ready.push(readyKey(1, int32(i)))
+				p.ready.push(1, int32(i))
 			}
 			if base > 0 {
 				p.active = true
@@ -482,21 +500,15 @@ func (c *chunk) markTx(pos int, leftward bool) {
 
 // enqueueFrom places m on the outgoing link from pos in direction dir.
 func (c *chunk) enqueueFrom(pos int, dir int8, m msg) {
-	if dir > 0 {
-		l := c.right[pos-c.lo]
-		if l == nil {
-			panic(fmt.Sprintf("sim: rightward send from line end %d", pos))
-		}
-		l.enqueue(m)
-		c.markTx(pos, false)
-	} else {
-		l := c.left[pos-c.lo]
-		if l == nil {
-			panic(fmt.Sprintf("sim: leftward send from line start %d", pos))
-		}
-		l.enqueue(m)
-		c.markTx(pos, true)
+	l := c.right[pos-c.lo]
+	if dir < 0 {
+		l = c.left[pos-c.lo]
 	}
+	if l == nil {
+		panic(fmt.Sprintf("sim: send in direction %d off the line end at %d", dir, pos))
+	}
+	l.enqueue(m)
+	c.markTx(pos, dir < 0)
 }
 
 // handleArrival processes message m arriving at position pos: deliver when
@@ -534,22 +546,13 @@ func (c *chunk) handleArrival(pos int, m msg) {
 // at build time so the delivery path never resolves a column.
 func (c *chunk) deliverValue(pos int, route int32, col, dense, step int32, value uint64) {
 	p := c.proc(pos)
-	if p.know.has(dense, step) {
-		// A standby host computes its standby column locally and still
-		// receives it via the provisioned route; that collision is benign
-		// (the values are identical). Count the delivery, keep the stored
-		// value. Anything else is a conservation violation.
-		if p.dupDense == nil || !p.dupDense[dense] {
-			c.duplicates++
-			return
-		}
-		c.delivered++
-		if c.buf != nil {
-			c.buf.RecordDeliver(c.now, int32(pos), route, col, step)
-		}
-		if c.deliverTap != nil {
-			c.deliverTap(pos, col, step, value)
-		}
+	// A standby host computes its standby column locally and still receives
+	// it via the provisioned route; that collision is benign (the values are
+	// identical). Count the delivery, keep the stored value. Anything else
+	// is a conservation violation.
+	known := p.know.has(dense, step)
+	if known && (p.dupDense == nil || !p.dupDense[dense]) {
+		c.duplicates++
 		return
 	}
 	c.delivered++
@@ -559,7 +562,9 @@ func (c *chunk) deliverValue(pos int, route int32, col, dense, step int32, value
 	if c.deliverTap != nil {
 		c.deliverTap(pos, col, step, value)
 	}
-	c.recordValue(p, dense, step, value)
+	if !known {
+		c.recordValue(p, dense, step, value)
+	}
 }
 
 // recordValue inserts a known value and unblocks any owned columns waiting
@@ -586,7 +591,7 @@ func (c *chunk) recordValue(p *proc, dense, step int32, value uint64) {
 					p.depBlame[n.slot] += dur
 				}
 			}
-			p.ready.push(readyKey(oc.next, n.idx))
+			p.ready.push(oc.next, n.idx)
 			if !p.active {
 				p.active = true
 				c.activeList = append(c.activeList, p.pos)
@@ -602,12 +607,10 @@ func (c *chunk) recordValue(p *proc, dense, step int32, value uint64) {
 // computeOne pops and computes the lowest-(step, column) ready pebble at p.
 // It returns false if nothing is ready.
 func (c *chunk) computeOne(p *proc) bool {
-	if len(p.ready) == 0 {
+	if p.ready.n == 0 {
 		return false
 	}
-	k := p.ready.pop()
-	idx := int32(uint32(k))
-	t := int32(uint32(k >> 32))
+	t, idx := p.ready.pop()
 	oc := &p.cols[idx]
 	if t != oc.next {
 		panic(fmt.Sprintf("sim: ready entry step %d != next %d for col %d at pos %d",
@@ -680,7 +683,7 @@ func (c *chunk) computeOne(p *proc) bool {
 	}
 	oc.missing = missing
 	if missing == 0 {
-		p.ready.push(readyKey(oc.next, idx))
+		p.ready.push(oc.next, idx)
 	} else if c.adaptOn {
 		p.blockedAt[idx] = c.now
 	}
@@ -739,7 +742,7 @@ func (c *chunk) runDeliveries() bool {
 func (c *chunk) runCompute() bool {
 	did := false
 	// The active list is rebuilt each step: workstations stay on it only
-	// while their ready heap is non-empty. Order does not affect state
+	// while their ready set is non-empty. Order does not affect state
 	// (workstations interact only through links, whose effects land in
 	// later steps), so no sorting is needed.
 	cur := c.activeList
@@ -756,7 +759,7 @@ func (c *chunk) runCompute() bool {
 			}
 			did = true
 		}
-		if len(p.ready) > 0 {
+		if p.ready.n > 0 {
 			c.activeList = append(c.activeList, pos)
 		} else {
 			p.active = false
@@ -804,14 +807,11 @@ func (c *chunk) runTransmit() bool {
 				c.overflows++
 			}
 			if c.buf != nil {
-				link := int32(pos)
 				dir := int8(1)
 				if leftward {
-					link = int32(pos - 1)
 					dir = -1
 				}
-				c.buf.RecordInject(c.now, int32(pos), link, dir,
-					m.route, c.rt.routes[m.route].col, m.step)
+				c.buf.RecordInject(c.now, int32(pos), int32(link), dir, m.route, c.rt.routes[m.route].col, m.step)
 			}
 			did = true
 			switch {
@@ -893,37 +893,14 @@ func (c *chunk) nextEvent() (int64, bool) {
 // receiveBoundary appends a batch of boundary arrivals (already stamped by
 // the sending chunk) and schedules their deliveries.
 func (c *chunk) receiveBoundary(fromLeft bool, batch []timedMsg) {
-	if len(batch) == 0 {
-		return
-	}
+	in, key := &c.inRight, sideKey(c.hi-1, true)
 	if fromLeft {
-		for _, tm := range batch {
-			c.inLeft.pushInflight(tm)
-			c.cal.schedule(c.now, tm.arrive, sideKey(c.lo, false))
-		}
-	} else {
-		for _, tm := range batch {
-			c.inRight.pushInflight(tm)
-			c.cal.schedule(c.now, tm.arrive, sideKey(c.hi-1, true))
-		}
+		in, key = &c.inLeft, sideKey(c.lo, false)
 	}
-}
-
-// finalDigests collects (column, digest) pairs for every replica in the
-// chunk, for verification against the reference executor.
-func (c *chunk) finalDigests() []replicaDigest {
-	var out []replicaDigest
-	for i := range c.procs {
-		p := &c.procs[i]
-		for j := range p.cols {
-			oc := &p.cols[j]
-			out = append(out, replicaDigest{
-				pos: int(p.pos), col: int(oc.col), digest: oc.db.Digest(),
-				version: oc.db.Version(), dormant: oc.dormant,
-			})
-		}
+	for _, tm := range batch {
+		in.pushInflight(tm)
+		c.cal.schedule(c.now, tm.arrive, key)
 	}
-	return out
 }
 
 // peakQueue reports the chunk's deepest injection queue (bandwidth
@@ -938,10 +915,4 @@ func (c *chunk) peakQueue() int {
 		}
 	}
 	return best
-}
-
-type replicaDigest struct {
-	pos, col, version int
-	digest            uint64
-	dormant           bool // never-activated standby: no work to verify
 }

@@ -81,7 +81,8 @@ func (c *chunk) applyCrashes() {
 		p := c.proc(int(c.crashQ[0].pos))
 		c.crashQ = c.crashQ[1:]
 		p.crashed = true
-		p.ready = p.ready[:0]
+		clear(p.ready.bits)
+		p.ready.n = 0
 		c.remaining -= p.remaining
 		c.retotal(-p.remaining)
 		p.remaining = 0

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"latencyhide/internal/guest"
 	"latencyhide/internal/obs"
@@ -188,28 +189,25 @@ func verify(cfg *Config, chunks []*chunk) error {
 		return err
 	}
 	// Crash-stop hosts freeze mid-run; their replicas are legitimately
-	// incomplete and are not checked.
-	var dead map[int]bool
-	if cfg.Faults != nil {
-		if crashed := cfg.Faults.CrashedHosts(); len(crashed) > 0 {
-			dead = make(map[int]bool, len(crashed))
-			for _, h := range crashed {
-				dead[h] = true
-			}
-		}
-	}
+	// incomplete and are not checked. Neither are never-activated standbys,
+	// which have no work to verify.
+	crashed := cfg.Faults.CrashedHosts()
 	for _, c := range chunks {
-		for _, rd := range c.finalDigests() {
-			if dead[rd.pos] || rd.dormant {
-				continue
-			}
-			if rd.version != cfg.Guest.Steps {
-				return fmt.Errorf("sim: replica of db %d at pos %d has version %d, want %d",
-					rd.col, rd.pos, rd.version, cfg.Guest.Steps)
-			}
-			if rd.digest != oracle.FinalDigests[rd.col] {
-				return fmt.Errorf("sim: replica of db %d at pos %d has digest %#x, want %#x",
-					rd.col, rd.pos, rd.digest, oracle.FinalDigests[rd.col])
+		for i := range c.procs {
+			p := &c.procs[i]
+			for j := range p.cols {
+				oc := &p.cols[j]
+				if oc.dormant || slices.Contains(crashed, int(p.pos)) {
+					continue
+				}
+				if v := oc.db.Version(); v != cfg.Guest.Steps {
+					return fmt.Errorf("sim: replica of db %d at pos %d has version %d, want %d",
+						oc.col, p.pos, v, cfg.Guest.Steps)
+				}
+				if d, want := oc.db.Digest(), oracle.FinalDigests[oc.col]; d != want {
+					return fmt.Errorf("sim: replica of db %d at pos %d has digest %#x, want %#x",
+						oc.col, p.pos, d, want)
+				}
 			}
 		}
 	}
