@@ -307,21 +307,6 @@ func cmdRun(args []string) error {
 		return err
 	}
 	mr := startMRun("run", fs, *manifestOut, *liveFlag)
-	if mr.active() {
-		// A manifest promises boundary telemetry (ring occupancy, published
-		// clock lag), which only the parallel engine produces; default to two
-		// chunks unless the user picked an engine explicitly.
-		workersSet := false
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "workers" {
-				workersSet = true
-			}
-		})
-		if !workersSet {
-			*workers = 2
-			fmt.Println("manifest: defaulting to -workers 2 so boundary telemetry is captured (pass -workers to override)")
-		}
-	}
 	g, err := hf.build()
 	if err != nil {
 		return err
@@ -430,6 +415,7 @@ func cmdRun(args []string) error {
 		mr.m.Slowdown = out.Sim.Slowdown
 		mr.m.Pebbles = out.Sim.PebblesComputed
 		mr.m.Work = &out.Sim.Work
+		mr.m.Metrics = reg.Snapshot()
 	}
 	return mr.finish()
 }
@@ -480,7 +466,7 @@ func printTrace(events []obs.Event, liveProcs int) {
 }
 
 // chunkTable renders the parallel engine's per-chunk telemetry shards,
-// labelled "chunk[lo,hi)", with per-flush batching factor and blocked
+// one row per host range, with per-flush batching factor and blocked
 // share so straggler chunks stand out. These are wall-clock mechanics and
 // vary run to run.
 func chunkTable(shards []telemetry.ShardSnapshot) *metrics.Table {
@@ -488,15 +474,14 @@ func chunkTable(shards []telemetry.ShardSnapshot) *metrics.Table {
 		"chunk", "hosts", "pebbles", "flushes", "msgs/flush", "blocked", "blocked_ms")
 	var pebbles, flushes, msgs int64
 	for i, s := range shards {
-		var lo, hi int
-		fmt.Sscanf(s.Label, "chunk[%d,%d)", &lo, &hi)
-		p, f, m := s.Counter("pebbles_computed"), s.Counter("boundary_flushes"), s.Counter("boundary_msgs")
+		c := &s.Counters
+		p, f, m := c.PebblesComputed, c.BoundaryFlushes, c.BoundaryMsgs
 		perFlush := 0.0
 		if f > 0 {
 			perFlush = float64(m) / float64(f)
 		}
-		t.AddRow(i, fmt.Sprintf("%d-%d", lo, hi), p, f, perFlush, s.Counter("worker_parks"),
-			float64(s.Counter("worker_blocked_ns")/1000)/1000)
+		t.AddRow(i, fmt.Sprintf("%d-%d", s.Lo, s.Hi), p, f, perFlush, c.WorkerParks,
+			float64(c.WorkerBlockedNs/1000)/1000)
 		pebbles += p
 		flushes += f
 		msgs += m
@@ -715,6 +700,7 @@ func cmdSweep(args []string) error {
 	}
 	if mr != nil {
 		mr.m.Scenario = fmt.Sprintf("%s host %d..%d variant=%s steps=%d", *hf.kind, *from, *to, v, *steps)
+		mr.m.Metrics = mr.reg.Snapshot()
 	}
 	return mr.finish()
 }

@@ -291,16 +291,16 @@ func TestTraceSubcommand(t *testing.T) {
 // are hand-built: a table from a live run would leak wall-clock fields
 // (blocked_ms) into the golden.
 func TestChunkTableGolden(t *testing.T) {
-	shard := func(label string, pebbles, flushes, msgs, parks, blockedNs int64) telemetry.ShardSnapshot {
-		return telemetry.ShardSnapshot{Label: label, Snapshot: &telemetry.Snapshot{Counters: map[string]int64{
-			"pebbles_computed": pebbles, "boundary_flushes": flushes, "boundary_msgs": msgs,
-			"worker_parks": parks, "worker_blocked_ns": blockedNs,
+	shard := func(lo, hi int, pebbles, flushes, msgs, parks, blockedNs int64) telemetry.ShardSnapshot {
+		return telemetry.ShardSnapshot{Lo: lo, Hi: hi, Snapshot: telemetry.Snapshot{Counters: telemetry.Counters{
+			PebblesComputed: pebbles, BoundaryFlushes: flushes, BoundaryMsgs: msgs,
+			WorkerParks: parks, WorkerBlockedNs: blockedNs,
 		}}}
 	}
 	var buf strings.Builder
 	chunkTable([]telemetry.ShardSnapshot{
-		shard("chunk[0,512)", 1000, 8, 24, 3, 1500000),
-		shard("chunk[512,1024)", 2000, 10, 10, 0, 0),
+		shard(0, 512, 1000, 8, 24, 3, 1500000),
+		shard(512, 1024, 2000, 10, 10, 0, 0),
 	}).Fprint(&buf)
 	want := strings.Join([]string{
 		"## parallel chunks (engine telemetry)",
@@ -317,7 +317,7 @@ func TestChunkTableGolden(t *testing.T) {
 
 	// No flushes: the note must not divide by zero.
 	buf.Reset()
-	chunkTable([]telemetry.ShardSnapshot{shard("chunk[0,4)", 5, 0, 0, 0, 0)}).Fprint(&buf)
+	chunkTable([]telemetry.ShardSnapshot{shard(0, 4, 5, 0, 0, 0, 0)}).Fprint(&buf)
 	if !strings.Contains(buf.String(), "no boundary batches shipped") {
 		t.Fatalf("flushless note wrong:\n%s", buf.String())
 	}
@@ -470,9 +470,6 @@ func TestRunRejectsNegativeBandwidth(t *testing.T) {
 	}
 }
 
-// End-to-end: `run -manifest-out` must emit a manifest that passes the
-// schema contract (parallel engine by default, so boundary telemetry is
-// present), and `manifest -check` must accept it.
 // Two runs of one configuration that differ only in where the manifest
 // goes, or in the order their flags were given, carry the same config hash.
 func TestRunManifestConfigHash(t *testing.T) {
@@ -518,11 +515,50 @@ func TestFleetManifestConfigHash(t *testing.T) {
 	}
 }
 
+// Equal config hashes mean equal behaviour: a manifest run leaves the
+// engine choice to -workers, so leaving the flag out and giving its
+// default both record the sequential engine under one hash, and choosing
+// the parallel engine changes the hash.
+func TestRunManifestHashPinsEngine(t *testing.T) {
+	dir := t.TempDir()
+	run := func(name string, args ...string) *telemetry.RunManifest {
+		path := filepath.Join(dir, name)
+		args = append([]string{"-host", "random", "-n", "64", "-steps", "8", "-manifest-out", path}, args...)
+		if err := cmdRun(args); err != nil {
+			t.Fatalf("run %v: %v", args, err)
+		}
+		m, err := telemetry.LoadManifest(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	ms := []*telemetry.RunManifest{run("a.json"), run("b.json", "-workers", "0"), run("c.json", "-workers", "2")}
+	for i, a := range ms {
+		for _, b := range ms[i+1:] {
+			if a.ConfigHash == b.ConfigHash && (a.Engine != b.Engine || a.Workers != b.Workers) {
+				t.Errorf("config hash %s recorded engine %s workers %d and engine %s workers %d",
+					a.ConfigHash, a.Engine, a.Workers, b.Engine, b.Workers)
+			}
+		}
+	}
+	if ms[0].ConfigHash != ms[1].ConfigHash || ms[0].Engine != "sequential" {
+		t.Errorf("default and -workers 0 recorded hashes %s, %s and engine %s, want one hash, sequential",
+			ms[0].ConfigHash, ms[1].ConfigHash, ms[0].Engine)
+	}
+	if ms[2].ConfigHash == ms[0].ConfigHash || ms[2].Engine != "parallel" {
+		t.Errorf("-workers 2 recorded hash %s and engine %s, want a new hash, parallel", ms[2].ConfigHash, ms[2].Engine)
+	}
+}
+
+// End-to-end: `run -workers 2 -manifest-out` must emit a manifest that
+// passes the schema contract, boundary telemetry included, and
+// `manifest -check` must accept it.
 func TestRunManifestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "m.json")
 	if err := cmdRun([]string{"-host", "line", "-n", "64", "-steps", "16",
-		"-variant", "loadone", "-manifest-out", path}); err != nil {
+		"-variant", "loadone", "-workers", "2", "-manifest-out", path}); err != nil {
 		t.Fatalf("run -manifest-out: %v", err)
 	}
 	m, err := telemetry.LoadManifest(path)
@@ -543,7 +579,7 @@ func TestRunManifestRoundTrip(t *testing.T) {
 	if m.Stalls == nil || m.Stalls.Busy != m.Pebbles {
 		t.Fatalf("stall tiling missing or inconsistent: %+v (pebbles=%d)", m.Stalls, m.Pebbles)
 	}
-	if got := m.Metrics.Counter("pebbles_computed"); got != m.Pebbles {
+	if got := m.Metrics.Counters.PebblesComputed; got != m.Pebbles {
 		t.Fatalf("telemetry pebbles %d != result pebbles %d", got, m.Pebbles)
 	}
 	// The work section is the run's Result.Work: the same config run
@@ -565,10 +601,8 @@ func TestRunManifestRoundTrip(t *testing.T) {
 	}
 	// Peak RSS is best-effort, but on Linux (where CI runs) it should be
 	// real.
-	if rss := m.Metrics.Gauge("rss_peak_bytes"); rss < 0 {
-		t.Fatalf("rss_peak_bytes = %d, want >= 0", rss)
-	} else if telemetry.ReadPeakRSS() > 0 && rss == 0 {
-		t.Fatal("rss_peak_bytes = 0 although /proc reports a peak RSS")
+	if telemetry.ReadPeakRSS() > 0 && m.PeakRSSBytes == 0 {
+		t.Fatal("peak_rss_bytes = 0 although /proc reports a peak RSS")
 	}
 	if err := cmdManifest([]string{"-check", path}); err != nil {
 		t.Fatalf("manifest -check: %v", err)
@@ -621,6 +655,11 @@ func TestVerifySweepManifests(t *testing.T) {
 	}
 	if sm.Sweep[0].Pebbles <= 0 || sm.Pebbles != sm.Sweep[0].Pebbles+sm.Sweep[1].Pebbles {
 		t.Fatalf("sweep pebble accounting wrong: total=%d points=%+v", sm.Pebbles, sm.Sweep)
+	}
+	// The sweep's points share one registry, so its progress counter
+	// covers every point.
+	if sm.Metrics == nil || sm.Metrics.Counters.PebblesComputed != sm.Pebbles {
+		t.Fatalf("sweep metrics %+v, want pebbles_computed %d", sm.Metrics, sm.Pebbles)
 	}
 }
 

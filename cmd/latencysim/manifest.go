@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
 	"time"
 
 	"latencyhide/internal/telemetry"
@@ -99,9 +98,8 @@ func (r *mrun) startLive(enabled bool, render func() string) {
 // engineStatus is the default -live renderer for engine-backed commands:
 // pebble progress against the registered total, throughput, and ETA.
 func (r *mrun) engineStatus() string {
-	snap := r.reg.Snapshot()
-	done := snap.Counter("pebbles_computed")
-	total := snap.Counter("pebbles_total")
+	c := r.reg.Snapshot().Counters
+	done, total := c.PebblesComputed, c.PebblesTotal
 	elapsed := time.Since(r.start)
 	rate := float64(done) / elapsed.Seconds()
 	return fmt.Sprintf("run: %d/%d pebbles  %s  eta %s",
@@ -119,7 +117,7 @@ func (r *mrun) stopLive() {
 }
 
 // finish stops the live line and the sampler, fills the cross-command
-// manifest fields (wall time, metric snapshot, memory series, peak RSS,
+// manifest fields (wall time, memory series, peak RSS,
 // bytes/pebble from the pebble count the caller stored in m.Pebbles), and
 // writes the manifest when -manifest-out was given. Safe on nil.
 func (r *mrun) finish() error {
@@ -131,7 +129,6 @@ func (r *mrun) finish() error {
 		r.m.MemSeries = r.sampler.Stop()
 	}
 	r.m.WallSeconds = time.Since(r.start).Seconds()
-	r.m.Metrics = r.reg.Snapshot()
 	r.m.PeakRSSBytes = telemetry.ReadPeakRSS()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -190,31 +187,11 @@ func cmdManifest(args []string) error {
 			s.Busy, s.Idle, s.Dependency, s.Bandwidth, s.Fault, s.ProcSteps)
 	}
 	if m.Work != nil {
-		work, err := json.Marshal(m.Work)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("work:     %s\n", work)
+		printSection("work", m.Work)
 	}
 	if m.Metrics != nil {
-		names := make([]string, 0, len(m.Metrics.Counters))
-		for n := range m.Metrics.Counters {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		fmt.Printf("counters:\n")
-		for _, n := range names {
-			fmt.Printf("  %-24s %d\n", n, m.Metrics.Counters[n])
-		}
-		names = names[:0]
-		for n := range m.Metrics.Gauges {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		fmt.Printf("gauges:\n")
-		for _, n := range names {
-			fmt.Printf("  %-24s %d\n", n, m.Metrics.Gauges[n])
-		}
+		printSection("counters", m.Metrics.Counters)
+		printSection("gauges", m.Metrics.Gauges)
 	}
 	if len(m.Sweep) > 0 {
 		fmt.Printf("sweep:    %d points\n", len(m.Sweep))
@@ -230,4 +207,11 @@ func cmdManifest(args []string) error {
 		fmt.Println("manifest: OK")
 	}
 	return nil
+}
+
+// printSection prints one manifest section as a JSON line. The sections are
+// flat structs of numbers, which always marshal.
+func printSection(name string, v any) {
+	js, _ := json.Marshal(v)
+	fmt.Printf("%-9s %s\n", name+":", js)
 }

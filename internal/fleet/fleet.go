@@ -219,33 +219,6 @@ func (m *Measurer) ccFor(k int) (*ccBundle, error) {
 	return b, nil
 }
 
-// statsFrom assembles twin.Stats from prebuilt structures (the cached
-// twin of verify.Scenario.TwinStats).
-func statsFrom(hosts, rep, steps, bw int, g guest.Graph, a *assign.Assignment, delays []int) twin.Stats {
-	st := twin.Stats{
-		Hosts: hosts, Cols: g.NumNodes(), Load: a.Load(),
-		Rep: rep, Steps: steps, Bandwidth: bw,
-	}
-	if st.Bandwidth < 1 {
-		st.Bandwidth = network.Log2Ceil(hosts)
-		if st.Bandwidth < 1 {
-			st.Bandwidth = 1
-		}
-	}
-	var sum float64
-	for _, d := range delays {
-		sum += float64(d)
-		if d > st.DMax {
-			st.DMax = d
-		}
-	}
-	if len(delays) > 0 {
-		st.DAve = sum / float64(len(delays))
-	}
-	st.PropFloor, st.CertFloor = twin.Floors(g, a.Holders, delays, steps)
-	return st
-}
-
 // Measure runs one item on the sequential engine and joins it with the
 // twin's prediction.
 func (m *Measurer) Measure(it Item) (Result, error) {
@@ -269,7 +242,7 @@ func (m *Measurer) Measure(it Item) (Result, error) {
 			return Result{}, err
 		}
 		delays := sc.Delays()
-		stats = statsFrom(sc.HostN, sc.Rep, sc.Steps, sc.BW, g, a, delays)
+		stats = verify.TwinStatsOf(g, a, delays, sc.Rep, sc.Steps, sc.BW)
 		family = twin.Classify(stats)
 		cfg = sim.Config{
 			Delays:    delays,
@@ -286,7 +259,7 @@ func (m *Measurer) Measure(it Item) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		stats = statsFrom(len(b.delays)+1, b.a.MaxCopies(), steps, 0, b.g, b.a, b.delays)
+		stats = verify.TwinStatsOf(b.g, b.a, b.delays, b.a.MaxCopies(), steps, 0)
 		family = twin.ByName("cliquechain")
 		cfg = sim.Config{
 			Delays: b.delays,

@@ -41,7 +41,7 @@ type Options struct {
 	Check       bool
 	// ComputePerStep and Recorder pass through to the engine.
 	ComputePerStep int
-	Recorder       obs.Recorder
+	Recorder       *obs.Buffer
 }
 
 // Result is a mesh simulation outcome.

@@ -8,15 +8,18 @@
 // The stream is canonical: events are totally ordered by
 // (step, kind, proc, link, dir, col, gstep, route), so the sequential and
 // parallel engines — which produce the same event multiset step by step —
-// hand identical streams to any Recorder. This extends the engines'
+// hand identical streams to the run's Buffer. This extends the engines'
 // bit-identical-results guarantee to the observability layer; tests in
 // internal/sim assert it.
 //
 // Recording is opt-in and costs nothing when disabled: the engine guards
-// every record call behind a nil check on its Recorder.
+// every record call behind a nil check on its Buffer.
 package obs
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Kind classifies an event.
 type Kind uint8
@@ -157,31 +160,10 @@ func (f FaultKind) String() string {
 	}
 }
 
-// Recorder receives engine events. The engine buffers per chunk and replays
-// the merged, canonically ordered stream into the configured Recorder at the
-// end of the run, so implementations need not be safe for concurrent use.
-type Recorder interface {
-	RecordCompute(step int64, proc, col, gstep int32)
-	RecordInject(step int64, proc, link int32, dir int8, route, col, gstep int32)
-	RecordDeliver(step int64, proc, route, col, gstep int32)
-}
-
-// FaultRecorder is optionally implemented by Recorders that want the fault
-// telemetry spans (KindFault) a faulty run synthesises; Replay skips them
-// for plain Recorders, so existing implementations keep working unchanged.
-type FaultRecorder interface {
-	RecordFault(step int64, fault FaultKind, proc, link int32, dur int64)
-}
-
-// AdaptRecorder is optionally implemented by Recorders that want the
-// adaptive-replication controller's activation decisions (KindAdapt);
-// Replay skips them for plain Recorders.
-type AdaptRecorder interface {
-	RecordAdapt(step int64, proc, col int32)
-}
-
-// Buffer is the standard Recorder: it appends events to memory for later
-// analysis and export.
+// Buffer holds an event stream in memory for analysis and export. The
+// engine records into one buffer per chunk and, after the run, merges them
+// into the configured buffer in canonical order, so a buffer need not be
+// safe for concurrent use.
 type Buffer struct {
 	events []Event
 }
@@ -210,17 +192,19 @@ func (b *Buffer) RecordDeliver(step int64, proc, route, col, gstep int32) {
 	})
 }
 
-func (b *Buffer) RecordFault(step int64, fault FaultKind, proc, link int32, dur int64) {
-	b.events = append(b.events, Event{
-		Step: step, Kind: KindFault, Fault: fault, Proc: proc, Link: link,
-		Dur: dur, Route: -1,
-	})
-}
-
-func (b *Buffer) RecordAdapt(step int64, proc, col int32) {
-	b.events = append(b.events, Event{
-		Step: step, Kind: KindAdapt, Proc: proc, Col: col, Link: -1, Route: -1,
-	})
+// Merge appends the events of parts to the buffer and sorts the appended
+// events into canonical order; events already in the buffer keep their
+// place.
+func (b *Buffer) Merge(parts ...[]Event) {
+	start, total := len(b.events), 0
+	for _, p := range parts {
+		total += len(p)
+	}
+	b.events = slices.Grow(b.events, total)
+	for _, p := range parts {
+		b.events = append(b.events, p...)
+	}
+	Canonicalize(b.events[start:])
 }
 
 // Events returns the recorded stream. The slice is owned by the buffer.
@@ -263,30 +247,6 @@ func less(a, b *Event) bool {
 // Canonicalize sorts events into the canonical stream order.
 func Canonicalize(events []Event) {
 	sort.Slice(events, func(i, j int) bool { return less(&events[i], &events[j]) })
-}
-
-// Replay feeds events (in their current order) into r. KindStall events are
-// derived, not part of the engine stream, and are skipped.
-func Replay(events []Event, r Recorder) {
-	for i := range events {
-		e := &events[i]
-		switch e.Kind {
-		case KindCompute:
-			r.RecordCompute(e.Step, e.Proc, e.Col, e.GStep)
-		case KindInject:
-			r.RecordInject(e.Step, e.Proc, e.Link, e.Dir, e.Route, e.Col, e.GStep)
-		case KindDeliver:
-			r.RecordDeliver(e.Step, e.Proc, e.Route, e.Col, e.GStep)
-		case KindFault:
-			if fr, ok := r.(FaultRecorder); ok {
-				fr.RecordFault(e.Step, e.Fault, e.Proc, e.Link, e.Dur)
-			}
-		case KindAdapt:
-			if ar, ok := r.(AdaptRecorder); ok {
-				ar.RecordAdapt(e.Step, e.Proc, e.Col)
-			}
-		}
-	}
 }
 
 // RunInfo carries the static facts the instruments need alongside the event

@@ -213,18 +213,29 @@ func TestChromeTraceSchema(t *testing.T) {
 	}
 }
 
-// Replaying a canonical stream into a fresh buffer reproduces it exactly.
-func TestReplayRoundTrip(t *testing.T) {
+// Merging a canonical stream's parts, each out of order, appends the
+// canonical stream after the events a buffer already holds.
+func TestMergeCanonical(t *testing.T) {
 	events, _, _ := recordedRun(t, 6, 10, 6, 2, 1)
+	var even, odd []obs.Event
+	for i := len(events) - 1; i >= 0; i-- {
+		if i%2 == 0 {
+			even = append(even, events[i])
+		} else {
+			odd = append(odd, events[i])
+		}
+	}
 	buf := obs.NewBuffer()
-	obs.Replay(events, buf)
+	buf.RecordCompute(99, 0, 0, 0)
+	first := buf.Events()[0]
+	buf.Merge(odd, even)
 	got := buf.Events()
-	if len(got) != len(events) {
-		t.Fatalf("replayed %d events, want %d", len(got), len(events))
+	if len(got) != len(events)+1 || got[0] != first {
+		t.Fatalf("merged %d events after %+v, want %d after %+v", len(got)-1, got[0], len(events), first)
 	}
 	for i := range events {
-		if got[i] != events[i] {
-			t.Fatalf("event %d differs after replay: %+v vs %+v", i, got[i], events[i])
+		if got[i+1] != events[i] {
+			t.Fatalf("event %d differs after merge: %+v vs %+v", i, got[i+1], events[i])
 		}
 	}
 }

@@ -81,7 +81,7 @@ type Options struct {
 	Workers        int
 	Check          bool
 	MaxSteps       int64
-	Recorder       obs.Recorder
+	Recorder       *obs.Buffer
 	// Faults passes a deterministic fault plan through to the engine
 	// (internal/fault); nil is a true no-op.
 	Faults *fault.Plan

@@ -252,15 +252,14 @@ type chunk struct {
 	deliverTap func(pos int, col, step int32, value uint64)
 
 	// event buffer (Config.Recorder != nil); chunks never share a buffer,
-	// so the parallel engine records race-free. collect() merges and
-	// replays the canonical stream into the configured Recorder.
+	// so the parallel engine records race-free. collect() merges the
+	// canonical stream into Config.Recorder.
 	buf *obs.Buffer
 
 	// telemetry (Config.Telemetry != nil): one shard per chunk, the step
 	// tick of its progress pushes and the pebble count last pushed (see
 	// telemetry.go).
 	tel        *telemetry.Shard
-	met        *engineMetrics
 	telTick    int64
 	telPebbles int64
 }

@@ -202,7 +202,7 @@ func (w *worker) flushSide(s *side, force bool) bool {
 			return false
 		}
 		if tel := w.c.tel; tel != nil {
-			tel.Inc(w.c.met.ringFullStalls)
+			tel.RingFullStalls.Add(1)
 		}
 		w.drainAll()
 		s.peer.wake()
@@ -210,11 +210,10 @@ func (w *worker) flushSide(s *side, force bool) bool {
 	}
 	s.sentClock = now
 	if tel := w.c.tel; tel != nil {
-		m := w.c.met
-		tel.Inc(m.boundaryFlushes)
-		tel.Add(m.boundaryMsgs, int64(len(batch)))
-		tel.Observe(m.batchSize, int64(len(batch)))
-		tel.SetMax(m.ringOccupancyPeak, int64(s.out.len()))
+		tel.BoundaryFlushes.Add(1)
+		tel.BoundaryMsgs.Add(int64(len(batch)))
+		tel.BoundaryBatchSize.Observe(int64(len(batch)))
+		tel.RingOccupancyPeak.SetMax(int64(s.out.len()))
 	}
 	*s.outbox, _ = s.free.pop() // nil when no recycled slice is free
 	s.peer.wake()
@@ -262,13 +261,12 @@ func (w *worker) recordClockLag() {
 	if tel == nil {
 		return
 	}
-	m := w.c.met
 	for _, s := range []*side{w.left, w.right} {
 		if s == nil {
 			continue
 		}
 		if lag := w.c.now - s.peerClock.Load(); lag > 0 {
-			tel.SetMax(m.pubclockLagMax, lag)
+			tel.PubclockLagMax.SetMax(lag)
 		}
 	}
 }
@@ -366,7 +364,7 @@ func (w *worker) park() bool {
 	tel := w.c.tel
 	var start time.Time
 	if tel != nil {
-		tel.Inc(w.c.met.workerParks)
+		tel.WorkerParks.Add(1)
 		start = time.Now()
 	}
 	woke := true
@@ -377,9 +375,9 @@ func (w *worker) park() bool {
 	}
 	if tel != nil {
 		if woke {
-			tel.Inc(w.c.met.workerWakes)
+			tel.WorkerWakes.Add(1)
 		}
-		tel.Add(w.c.met.workerBlockedNs, int64(time.Since(start)))
+		tel.WorkerBlockedNs.Add(int64(time.Since(start)))
 	}
 	return woke
 }

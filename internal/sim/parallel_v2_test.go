@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -328,15 +327,11 @@ func chunkShards(t *testing.T, reg *telemetry.Registry, hostN int) []int64 {
 	var pebbles []int64
 	prev := 0
 	for _, s := range reg.ShardSnapshots() {
-		var lo, hi int
-		if _, err := fmt.Sscanf(s.Label, "chunk[%d,%d)", &lo, &hi); err != nil {
-			t.Fatalf("shard label %q: %v", s.Label, err)
+		if s.Lo != prev || s.Hi <= s.Lo {
+			t.Fatalf("shard [%d,%d) does not continue the tiling at %d", s.Lo, s.Hi, prev)
 		}
-		if lo != prev || hi <= lo {
-			t.Fatalf("shard %q does not continue the tiling at %d", s.Label, prev)
-		}
-		prev = hi
-		pebbles = append(pebbles, s.Counter("pebbles_computed"))
+		prev = s.Hi
+		pebbles = append(pebbles, s.Counters.PebblesComputed)
 	}
 	if prev != hostN {
 		t.Fatalf("shards end at %d, want %d", prev, hostN)
@@ -418,8 +413,8 @@ func TestChunkGaugesConcurrent(t *testing.T) {
 				default:
 				}
 				for _, s := range reg.ShardSnapshots() {
-					if s.Counter("pebbles_computed") < 0 {
-						t.Errorf("shard %s went negative", s.Label)
+					if s.Counters.PebblesComputed < 0 {
+						t.Errorf("shard [%d,%d) went negative", s.Lo, s.Hi)
 					}
 				}
 				runtime.Gosched()

@@ -6,7 +6,6 @@ import (
 
 	"latencyhide/internal/guest"
 	"latencyhide/internal/obs"
-	"latencyhide/internal/telemetry"
 )
 
 // runSequential executes the whole line as a single chunk, fast-forwarding
@@ -110,11 +109,6 @@ func frontier(chunks ...*chunk) string {
 // every database replica against the sequential reference executor.
 func collect(cfg *Config, chunks []*chunk) (*Result, error) {
 	res := &Result{}
-	if len(chunks) > 0 && chunks[0].tel != nil {
-		// One process-wide reading at collect time; 0 means unknown
-		// (non-Linux / restricted proc) and the manifest tolerates that.
-		chunks[0].tel.SetMax(chunks[0].met.rssPeakBytes, int64(telemetry.ReadPeakRSS()))
-	}
 	var dups int64
 	w := &res.Work
 	w.RouteBytes = chunks[0].rt.bytes()
@@ -158,24 +152,20 @@ func collect(cfg *Config, chunks []*chunk) (*Result, error) {
 		res.Checked = true
 	}
 	if cfg.Recorder != nil {
-		// Merge the per-chunk buffers and replay in canonical order: the
-		// engines produce identical per-step event multisets, so sorting
-		// hands any Recorder a stream that is bit-identical across engines
-		// and worker counts.
-		var events []obs.Event
+		// Merge the per-chunk buffers in canonical order: the engines
+		// produce identical per-step event multisets, so sorting gives a
+		// stream that is bit-identical across engines and worker counts.
+		parts := make([][]obs.Event, 0, len(chunks)+2)
 		for _, c := range chunks {
-			if c.buf != nil {
-				events = append(events, c.buf.Events()...)
-			}
+			parts = append(parts, c.buf.Events())
 		}
 		if cfg.Faults != nil {
-			events = append(events, faultEvents(cfg, res.HostSteps)...)
+			parts = append(parts, faultEvents(cfg, res.HostSteps))
 		}
 		if cfg.ast != nil {
-			events = append(events, cfg.ast.adaptEvents()...)
+			parts = append(parts, cfg.ast.adaptEvents())
 		}
-		obs.Canonicalize(events)
-		obs.Replay(events, cfg.Recorder)
+		cfg.Recorder.Merge(parts...)
 	}
 	return res, nil
 }

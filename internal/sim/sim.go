@@ -64,10 +64,10 @@ type Config struct {
 	// sequential reference executor.
 	Check bool
 	// Recorder, when non-nil, receives the run's structured event stream
-	// (package obs). Both engines buffer events per chunk and replay the
-	// merged stream in canonical order after the run, so the same Recorder
-	// sees a bit-identical stream from either engine. Nil costs nothing.
-	Recorder obs.Recorder
+	// (package obs). Both engines buffer events per chunk and, after the
+	// run, append the merged stream to Recorder in canonical order, so it
+	// is bit-identical from either engine. Nil costs nothing.
+	Recorder *obs.Buffer
 	// Faults, when non-nil, injects the plan's deterministic faults (link
 	// jitter, link outages, host slowdowns, crash-stop hosts — see
 	// internal/fault and faults.go). Crash-stop hosts are excluded from
@@ -82,17 +82,13 @@ type Config struct {
 	// stay bit-identical across engines and worker counts (see adapt.go).
 	Adapt *adapt.Policy
 	// Telemetry, when non-nil, receives the figures that depend on the
-	// clock or the machine: Run registers the engine schema on it and both
-	// engines cut one shard per chunk, labelled "chunk[lo,hi)". Each chunk
-	// pushes its pebble progress every 64 steps; the parallel engine's
-	// boundary flushes, ring stalls and worker parks are written where they
-	// happen. Nil disables it down to a single branch per step.
-	// Deterministic work figures are in Result.Work either way. See
-	// internal/sim/telemetry.go for the metric names.
+	// clock or the machine: both engines add one telemetry.Shard per chunk,
+	// with the chunk's host range. Each chunk pushes its pebble progress
+	// every 64 steps; the parallel engine's boundary flushes, ring stalls
+	// and worker parks are written where they happen. Nil disables it down
+	// to a single branch per step. Deterministic work figures are in
+	// Result.Work either way.
 	Telemetry *telemetry.Registry
-
-	// em caches the resolved metric IDs for this run; set by Run.
-	em *engineMetrics
 	// ast is the resolved adaptive-replication state; set by Run when Adapt
 	// is enabled.
 	ast *adaptState
@@ -312,9 +308,6 @@ func (a *Arena) Run(cfg Config) (*Result, error) {
 	routes := a.routes.build(cfg.Guest.Graph, cfg.Assign, crashed, extra)
 	if err := routeEnvelope(int64(len(routes.chainArena)), int64(cfg.Assign.Columns)); err != nil {
 		return nil, err
-	}
-	if cfg.Telemetry != nil {
-		cfg.em = registerEngineMetrics(cfg.Telemetry)
 	}
 	var (
 		res *Result

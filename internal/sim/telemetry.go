@@ -1,15 +1,10 @@
 package sim
 
-import (
-	"fmt"
-
-	"latencyhide/internal/telemetry"
-)
-
 // This file wires the engines into package telemetry, which carries only
 // what depends on the clock or the machine. Every deterministic work figure
 // lives in Result (its Work field among them), which collect fills from the
-// plain fields chunks, procs and stores already keep. The registry gets:
+// plain fields chunks, procs and stores keep. Each chunk's telemetry.Shard
+// gets:
 //
 //   - Progress. Every 64 simulated steps (and once at collect) a chunk
 //     pushes its pebbles computed since the last push: `-live` and the
@@ -21,53 +16,6 @@ import (
 //     parks and the wall time spent parked write straight to the shard at
 //     the point they happen; they are orders of magnitude rarer than
 //     pebbles, and all depend on thread timing.
-//
-//   - Memory. Peak RSS is read once at collect.
-//
-// The metric names below are the engine's telemetry schema; the manifest
-// validator (telemetry.RunManifest.Validate) and the docs reference them by
-// name, so treat renames as schema changes.
-
-// engineMetrics holds the resolved metric IDs for one run's registry.
-type engineMetrics struct {
-	// counters
-	pebblesComputed telemetry.CounterID // progress: pebbles computed so far
-	pebblesTotal    telemetry.CounterID // pebbles the run will compute (for progress/ETA)
-	boundaryFlushes telemetry.CounterID // coalesced boundary batches shipped
-	boundaryMsgs    telemetry.CounterID // messages carried by those batches
-	ringFullStalls  telemetry.CounterID // producer retries against a full SPSC ring
-	workerParks     telemetry.CounterID // workers parked at their horizon
-	workerWakes     telemetry.CounterID // parked workers woken by a neighbor
-	workerBlockedNs telemetry.CounterID // wall-clock nanoseconds workers spent parked
-
-	// high-water-mark gauges
-	ringOccupancyPeak telemetry.GaugeID // peak SPSC boundary-ring occupancy (batches)
-	pubclockLagMax    telemetry.GaugeID // max (local clock - neighbor's published clock)
-	rssPeakBytes      telemetry.GaugeID // process peak RSS at collect time (0 if unknown)
-
-	batchSize telemetry.HistID // messages per coalesced boundary batch
-}
-
-// registerEngineMetrics registers (or re-resolves) the engine schema on reg.
-// Must run before the first shard is cut from reg.
-func registerEngineMetrics(reg *telemetry.Registry) *engineMetrics {
-	return &engineMetrics{
-		pebblesComputed: reg.Counter("pebbles_computed"),
-		pebblesTotal:    reg.Counter("pebbles_total"),
-		boundaryFlushes: reg.Counter("boundary_flushes"),
-		boundaryMsgs:    reg.Counter("boundary_msgs"),
-		ringFullStalls:  reg.Counter("ring_full_stalls"),
-		workerParks:     reg.Counter("worker_parks"),
-		workerWakes:     reg.Counter("worker_wakes"),
-		workerBlockedNs: reg.Counter("worker_blocked_ns"),
-
-		ringOccupancyPeak: reg.Gauge("ring_occupancy_peak"),
-		pubclockLagMax:    reg.Gauge("pubclock_lag_max"),
-		rssPeakBytes:      reg.Gauge("rss_peak_bytes"),
-
-		batchSize: reg.Histogram("boundary_batch_size"),
-	}
-}
 
 // telFlushInterval is how many simulated steps pass between progress
 // pushes (power of two: the step loop masks against it).
@@ -76,12 +24,8 @@ const telFlushInterval = 64
 // initTelemetry attaches a shard to the chunk when the run carries a
 // registry. Called from newChunk after the chunk's work is counted.
 func (c *chunk) initTelemetry() {
-	if c.cfg.em == nil {
-		return
-	}
-	c.met = c.cfg.em
-	c.tel = c.cfg.Telemetry.NewShard(fmt.Sprintf("chunk[%d,%d)", c.lo, c.hi))
-	c.tel.Add(c.met.pebblesTotal, c.remaining)
+	c.tel = c.cfg.Telemetry.NewShard(c.lo, c.hi) // nil without a registry
+	c.retotal(c.remaining)
 }
 
 // retotal moves the chunk's pebbles_total by d when the work the run will
@@ -89,7 +33,7 @@ func (c *chunk) initTelemetry() {
 // crash-stop writes off its host's. Progress then ends at the total.
 func (c *chunk) retotal(d int64) {
 	if c.tel != nil {
-		c.tel.Add(c.met.pebblesTotal, d)
+		c.tel.PebblesTotal.Add(d)
 	}
 }
 
@@ -103,7 +47,7 @@ func (c *chunk) flushTelemetry() {
 		computed += c.procs[i].computed
 	}
 	if d := computed - c.telPebbles; d != 0 {
-		c.tel.Add(c.met.pebblesComputed, d)
+		c.tel.PebblesComputed.Add(d)
 		c.telPebbles = computed
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/json"
 	"slices"
 	"testing"
 
@@ -35,22 +36,10 @@ func TestTelemetrySequentialAgreesWithResult(t *testing.T) {
 	}
 	snap := reg.Snapshot()
 	// The progress push must end at the Result's count: telemetry is a
-	// view, not a second accounting.
-	for _, tc := range []struct {
-		name string
-		want int64
-	}{
-		{"pebbles_computed", res.PebblesComputed},
-		{"pebbles_total", res.PebblesComputed}, // complete run: all work done
-	} {
-		if got := snap.Counter(tc.name); got != tc.want {
-			t.Errorf("counter %s = %d, want %d", tc.name, got, tc.want)
-		}
-	}
-	// The schema is the 12 clock- or machine-dependent figures; the work
-	// counts live in Result.Work.
-	if names := reg.Names(); len(names) != 12 {
-		t.Errorf("engine schema has %d metrics, want 12: %v", len(names), names)
+	// view, not a second accounting. A complete run did all its work.
+	if c := snap.Counters; c.PebblesComputed != res.PebblesComputed || c.PebblesTotal != res.PebblesComputed {
+		t.Errorf("pebbles_computed %d, pebbles_total %d, want both %d",
+			c.PebblesComputed, c.PebblesTotal, res.PebblesComputed)
 	}
 	w := res.Work
 	if w.WaiterPoolHits+w.WaiterPoolGrows <= 0 {
@@ -67,7 +56,7 @@ func TestTelemetrySequentialAgreesWithResult(t *testing.T) {
 		t.Error("route_bytes not reported")
 	}
 	// Sequential engine must not report parallel-only metrics.
-	if snap.Gauge("ring_occupancy_peak") != 0 || snap.Counter("boundary_flushes") != 0 {
+	if snap.Gauges.RingOccupancyPeak != 0 || snap.Counters.BoundaryFlushes != 0 {
 		t.Error("sequential run reported boundary telemetry")
 	}
 }
@@ -88,8 +77,8 @@ func TestProgressEndsAtTotal(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s, %d workers: %v", name, workers, err)
 			}
-			snap := reg.Snapshot()
-			done, total := snap.Counter("pebbles_computed"), snap.Counter("pebbles_total")
+			c := reg.Snapshot().Counters
+			done, total := c.PebblesComputed, c.PebblesTotal
 			if done != res.PebblesComputed || total != done {
 				t.Errorf("%s, %d workers: pebbles_computed %d, pebbles_total %d, Result %d",
 					name, workers, done, total, res.PebblesComputed)
@@ -114,29 +103,52 @@ func TestTelemetryParallelBoundaryMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
-	if got := snap.Counter("pebbles_computed"); got != res.PebblesComputed {
-		t.Errorf("pebbles_computed = %d, want %d", got, res.PebblesComputed)
+	c, g := snap.Counters, snap.Gauges
+	if c.PebblesComputed != res.PebblesComputed {
+		t.Errorf("pebbles_computed = %d, want %d", c.PebblesComputed, res.PebblesComputed)
 	}
-	if snap.Counter("boundary_flushes") <= 0 || snap.Counter("boundary_msgs") <= 0 {
-		t.Errorf("boundary coalescing not tracked: flushes=%d msgs=%d",
-			snap.Counter("boundary_flushes"), snap.Counter("boundary_msgs"))
+	if c.BoundaryFlushes <= 0 || c.BoundaryMsgs <= 0 {
+		t.Errorf("boundary coalescing not tracked: flushes=%d msgs=%d", c.BoundaryFlushes, c.BoundaryMsgs)
 	}
-	if snap.Gauge("ring_occupancy_peak") <= 0 {
+	if g.RingOccupancyPeak <= 0 {
 		t.Error("ring_occupancy_peak not tracked")
 	}
-	if snap.Gauge("pubclock_lag_max") <= 0 {
+	if g.PubclockLagMax <= 0 {
 		t.Error("pubclock_lag_max not tracked")
 	}
-	if h, ok := snap.Hists["boundary_batch_size"]; !ok || h.Count != snap.Counter("boundary_flushes") {
-		t.Errorf("batch-size histogram count %d != flushes %d",
-			h.Count, snap.Counter("boundary_flushes"))
+	if h := snap.Histograms.BoundaryBatchSize; h.Count != c.BoundaryFlushes {
+		t.Errorf("batch-size histogram count %d != flushes %d", h.Count, c.BoundaryFlushes)
 	}
 	// One shard per chunk and nothing else.
 	if shards := reg.ShardSnapshots(); len(shards) != 4 {
 		t.Errorf("%d shards, want one per chunk (4)", len(shards))
 	}
-	if !slices.Contains(reg.Names(), "counter:worker_blocked_ns") {
-		t.Errorf("worker_blocked_ns missing from the schema %v", reg.Names())
+	// The snapshot is the manifest's metrics section: exactly the eight
+	// counters, two gauges and one histogram, each under its schema name.
+	raw, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for sec, metrics := range doc {
+		for name := range metrics {
+			keys = append(keys, sec+"."+name)
+		}
+	}
+	slices.Sort(keys)
+	want := []string{
+		"counters.boundary_flushes", "counters.boundary_msgs", "counters.pebbles_computed",
+		"counters.pebbles_total", "counters.ring_full_stalls", "counters.worker_blocked_ns",
+		"counters.worker_parks", "counters.worker_wakes",
+		"gauges.pubclock_lag_max", "gauges.ring_occupancy_peak",
+		"histograms.boundary_batch_size",
+	}
+	if !slices.Equal(keys, want) {
+		t.Errorf("metrics keys %v, want %v", keys, want)
 	}
 	// Telemetry must not perturb results: same config without a registry is
 	// bit-identical.
@@ -171,9 +183,6 @@ func TestDisabledLayersAttachNothing(t *testing.T) {
 	chunks := func(cfg Config) []*chunk {
 		if err := cfg.Validate(); err != nil {
 			t.Fatal(err)
-		}
-		if cfg.Telemetry != nil {
-			cfg.em = registerEngineMetrics(cfg.Telemetry)
 		}
 		rt := buildRoutes(cfg.Guest.Graph, cfg.Assign, nil, nil)
 		out := []*chunk{newChunk(new(chunk), &cfg, rt, 0, hostN)}

@@ -247,14 +247,14 @@ func (m *RunManifest) Validate() error {
 		if m.Metrics == nil {
 			fail("missing metrics snapshot")
 		} else {
-			if m.Metrics.Counter("pebbles_computed") <= 0 {
+			if m.Metrics.Counters.PebblesComputed <= 0 {
 				fail("counter pebbles_computed must be > 0")
 			}
 			if m.Engine == "parallel" {
-				if m.Metrics.Gauge("ring_occupancy_peak") <= 0 {
+				if m.Metrics.Gauges.RingOccupancyPeak <= 0 {
 					fail("gauge ring_occupancy_peak must be > 0 on the parallel engine")
 				}
-				if m.Metrics.Gauge("pubclock_lag_max") <= 0 {
+				if m.Metrics.Gauges.PubclockLagMax <= 0 {
 					fail("gauge pubclock_lag_max must be > 0 on the parallel engine")
 				}
 			}

@@ -25,14 +25,12 @@ type MemSample struct {
 }
 
 // Sampler periodically captures runtime/metrics + MemStats (and, when a
-// registry is attached, the engine's pebble counter) into a bounded time
+// registry is attached, the engine's pebble progress) into a bounded time
 // series. It exists so a run manifest can report how memory evolved over the
 // run — bytes/pebble needs more than a final snapshot once runs stream
 // working sets.
 type Sampler struct {
-	reg      *Registry
-	pebbles  CounterID
-	hasPebbl bool
+	reg *Registry
 
 	interval time.Duration
 	start    time.Time
@@ -48,8 +46,8 @@ type Sampler struct {
 const samplerMaxSamples = 512
 
 // StartSampler begins sampling every interval (0 means 50ms). reg may be
-// nil; when non-nil and it has a counter named "pebbles_computed", each
-// sample also records engine progress.
+// nil; when non-nil, each sample also records the pebbles its shards have
+// computed.
 func StartSampler(reg *Registry, interval time.Duration) *Sampler {
 	if interval <= 0 {
 		interval = 50 * time.Millisecond
@@ -60,15 +58,6 @@ func StartSampler(reg *Registry, interval time.Duration) *Sampler {
 		start:    time.Now(),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
-	}
-	if reg != nil {
-		reg.mu.Lock()
-		for i, n := range reg.counters {
-			if n == "pebbles_computed" {
-				s.pebbles, s.hasPebbl = CounterID(i), true
-			}
-		}
-		reg.mu.Unlock()
 	}
 	go s.loop()
 	return s
@@ -117,20 +106,10 @@ func (s *Sampler) capture() {
 		NumGC:      ms.NumGC,
 		Goroutines: runtime.NumGoroutine(),
 		RSS:        readRSS(),
+		Pebbles:    s.reg.Snapshot().Counters.PebblesComputed,
 	}
 	if tm[0].Value.Kind() == metrics.KindUint64 {
 		sm.TotalMemory = tm[0].Value.Uint64()
-	}
-	if s.hasPebbl {
-		var v int64
-		s.reg.mu.Lock()
-		for _, sh := range s.reg.shards {
-			if int(s.pebbles) < len(sh.counters) {
-				v += sh.counters[s.pebbles].Load()
-			}
-		}
-		s.reg.mu.Unlock()
-		sm.Pebbles = v
 	}
 	s.mu.Lock()
 	s.samples = append(s.samples, sm)

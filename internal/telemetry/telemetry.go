@@ -1,179 +1,112 @@
-// Package telemetry is the runtime measurement substrate for the engines: a
-// low-overhead metrics registry (per-worker sharded counters, max-gauges and
-// fixed-bucket histograms over atomic int64 slots), a periodic sampler that
-// captures runtime/metrics and MemStats into a time series, a machine-readable
-// RunManifest artifact, and a refreshing TTY status line for long runs.
+// Package telemetry is the runtime measurement substrate for the engines:
+// the engine's wall-clock telemetry record (per-chunk shards of typed
+// atomic counters, max-gauges and one fixed-bucket histogram), a periodic
+// sampler that captures runtime/metrics and MemStats into a time series, a
+// machine-readable RunManifest artifact, and a refreshing TTY status line
+// for long runs.
 //
 // Design constraints, in order:
 //
-//  1. Near-zero cost when disabled. Every write goes through a *Shard method
-//     with a nil-receiver fast path, so an engine built with a nil registry
-//     pays one predictable branch per instrumentation site — no interface
-//     dispatch, no map lookup, no allocation. The hottest per-pebble paths
-//     (waiter-pool churn, calendar scheduling) do not even pay that: they
-//     accumulate into plain engine-local int64s and flush into the shard once
-//     per run.
+//  1. Near-zero cost when disabled. An engine run without a registry holds
+//     no shard and pays one predictable branch per instrumentation site.
+//     The hottest per-pebble paths do not even pay that: progress is pushed
+//     into the shard every 64 simulated steps.
 //
-//  2. Allocation-free when enabled. Metric IDs are dense indexes resolved at
-//     registration time; a shard is a few flat []atomic.Int64 slices. Writes
-//     are atomic adds/stores so a sampler goroutine (or the live status
-//     line) can read a consistent-enough snapshot mid-run without locks.
+//  2. Allocation-free when enabled. Every metric is a named atomic field of
+//     Shard, so a write is one atomic add or store, and a sampler goroutine
+//     (or the live status line) can read a consistent-enough snapshot
+//     mid-run without locks.
 //
-//  3. Shards are cheap and plentiful: one per engine chunk/worker, created
-//     via Registry.NewShard. Snapshot() merges them — counters sum, gauges
-//     max, histogram buckets sum — which is exactly the cross-worker view
-//     the manifest wants; ShardSnapshots() reads each on its own, for
-//     per-chunk tables.
+//  3. One shard per engine chunk, created by Registry.NewShard with the
+//     chunk's host range. Snapshot merges them (counters sum, gauges max,
+//     histogram buckets sum), which is the cross-worker view the manifest
+//     wants; ShardSnapshots reads each on its own, for per-chunk tables.
 //
-// Metrics must be registered before shards are created (the engine registers
-// its schema once per run, then cuts shards); NewShard panics otherwise
-// misuse would silently drop writes.
+// Every figure is named once, by the JSON tag of its Snapshot field; the
+// manifest's metrics section is a Snapshot, so renaming a tag is a schema
+// change.
 package telemetry
 
 import (
-	"fmt"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
-
-// CounterID names a monotonically increasing counter (merged by summing).
-type CounterID int32
-
-// GaugeID names a high-water-mark gauge (merged by taking the max).
-type GaugeID int32
-
-// HistID names a fixed-bucket power-of-two histogram (buckets merged by
-// summing).
-type HistID int32
 
 // histBuckets is the fixed bucket count: bucket i holds observations v with
 // bits.Len64(v) == i, i.e. bucket 0 is v=0, bucket i>=1 covers
 // [2^(i-1), 2^i). 48 buckets cover every value the engines observe.
 const histBuckets = 48
 
-// Registry owns the metric name space and the shards writing into it.
-// Registration is cheap and happens once per run; the hot path never touches
-// the registry itself, only its shards.
+// Registry holds the shards of one run. Only shard creation and snapshots
+// take its lock; the engine writes to its shards directly.
 type Registry struct {
-	mu       sync.Mutex
-	counters []string
-	gauges   []string
-	hists    []string
-	shards   []*Shard
-	sealed   bool
+	mu     sync.Mutex
+	shards []*Shard
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
-// Counter registers (or re-resolves) a counter by name.
-func (r *Registry) Counter(name string) CounterID {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return CounterID(r.intern(&r.counters, name, "counter"))
-}
-
-// Gauge registers (or re-resolves) a max-gauge by name.
-func (r *Registry) Gauge(name string) GaugeID {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return GaugeID(r.intern(&r.gauges, name, "gauge"))
-}
-
-// Histogram registers (or re-resolves) a histogram by name.
-func (r *Registry) Histogram(name string) HistID {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return HistID(r.intern(&r.hists, name, "histogram"))
-}
-
-func (r *Registry) intern(names *[]string, name, kind string) int {
-	for i, n := range *names {
-		if n == name {
-			return i
-		}
-	}
-	if r.sealed {
-		panic(fmt.Sprintf("telemetry: %s %q registered after the first shard was created", kind, name))
-	}
-	*names = append(*names, name)
-	return len(*names) - 1
-}
-
-// NewShard creates a writer shard sized for every metric registered so far
-// and seals the registry against further registration. A nil registry
-// returns a nil shard, which every write method tolerates — that is the
-// disabled fast path.
-func (r *Registry) NewShard(label string) *Shard {
+// NewShard creates the shard of the engine chunk that owns hosts [lo, hi).
+// A nil registry returns a nil shard: telemetry is off.
+func (r *Registry) NewShard(lo, hi int) *Shard {
 	if r == nil {
 		return nil
 	}
+	s := &Shard{Lo: lo, Hi: hi}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.sealed = true
-	s := &Shard{
-		label:    label,
-		counters: make([]atomic.Int64, len(r.counters)),
-		gauges:   make([]atomic.Int64, len(r.gauges)),
-		hists:    make([]histogram, len(r.hists)),
-	}
 	r.shards = append(r.shards, s)
+	r.mu.Unlock()
 	return s
 }
 
-// histogram is one shard's buckets for one histogram metric.
-type histogram struct {
+// Shard is one engine chunk's telemetry, for hosts [Lo, Hi). Every metric
+// is atomic, so the sampler can read mid-run without locks; its JSON name
+// is the tag of the matching Snapshot field.
+type Shard struct {
+	Lo, Hi int
+
+	PebblesComputed atomic.Int64 // progress: pebbles computed so far
+	PebblesTotal    atomic.Int64 // pebbles the run will compute (for progress/ETA)
+	BoundaryFlushes atomic.Int64 // coalesced boundary batches shipped
+	BoundaryMsgs    atomic.Int64 // messages carried by those batches
+	RingFullStalls  atomic.Int64 // producer retries against a full SPSC ring
+	WorkerParks     atomic.Int64 // workers parked at their horizon
+	WorkerWakes     atomic.Int64 // parked workers woken by a neighbor
+	WorkerBlockedNs atomic.Int64 // wall-clock nanoseconds workers spent parked
+
+	RingOccupancyPeak MaxGauge // peak SPSC boundary-ring occupancy (batches)
+	PubclockLagMax    MaxGauge // max (local clock - neighbor's published clock)
+
+	BoundaryBatchSize Histogram // messages per coalesced boundary batch
+}
+
+// MaxGauge is a high-water mark. Single writer per shard: a plain
+// load-compare-store suffices.
+type MaxGauge struct{ v atomic.Int64 }
+
+// SetMax raises the gauge to v if v is larger.
+func (g *MaxGauge) SetMax(v int64) {
+	if v > g.v.Load() {
+		g.v.Store(v)
+	}
+}
+
+// Load reads the gauge.
+func (g *MaxGauge) Load() int64 { return g.v.Load() }
+
+// Histogram is a fixed-bucket power-of-two histogram.
+type Histogram struct {
 	count   atomic.Int64
 	sum     atomic.Int64
 	buckets [histBuckets]atomic.Int64
 }
 
-// Shard is a single-owner metrics writer. All slots are atomics, so
-// concurrent writes from multiple goroutines are safe (counters merge
-// correctly; SetMax is last-writer-wins per shard and shards are normally
-// single-writer), and the sampler can read mid-run without locks.
-type Shard struct {
-	label    string
-	counters []atomic.Int64
-	gauges   []atomic.Int64
-	hists    []histogram
-}
-
-// Add increments a counter by delta. Nil shards are a no-op.
-func (s *Shard) Add(id CounterID, delta int64) {
-	if s == nil {
-		return
-	}
-	s.counters[id].Add(delta)
-}
-
-// Inc increments a counter by one. Nil shards are a no-op.
-func (s *Shard) Inc(id CounterID) { s.Add(id, 1) }
-
-// SetMax raises a high-water-mark gauge to v if v is larger. Nil shards are
-// a no-op. Single-writer per shard: a plain load-compare-store suffices.
-func (s *Shard) SetMax(id GaugeID, v int64) {
-	if s == nil {
-		return
-	}
-	if v > s.gauges[id].Load() {
-		s.gauges[id].Store(v)
-	}
-}
-
-// Observe records v into a histogram (v < 0 is clamped to 0). Nil shards are
-// a no-op.
-func (s *Shard) Observe(id HistID, v int64) {
-	if s == nil {
-		return
-	}
-	h := &s.hists[id]
+// Observe records v (v < 0 is clamped to 0).
+func (h *Histogram) Observe(v int64) {
 	h.count.Add(1)
-	if v < 0 {
-		v = 0
-	}
+	v = max(v, 0)
 	h.sum.Add(v)
 	h.buckets[bits.Len64(uint64(v))].Add(1)
 }
@@ -196,10 +129,7 @@ func (h *HistSnapshot) quantile(q float64) int64 {
 	if h.Count == 0 {
 		return 0
 	}
-	want := int64(q * float64(h.Count))
-	if want >= h.Count {
-		want = h.Count - 1
-	}
+	want := min(int64(q*float64(h.Count)), h.Count-1)
 	var seen int64
 	for i, c := range h.Buckets {
 		seen += c
@@ -213,46 +143,53 @@ func (h *HistSnapshot) quantile(q float64) int64 {
 	return 0
 }
 
-// Snapshot is the merged view across every shard: counters summed, gauges
-// maxed, histogram buckets summed.
+// Counters are the engine's counters, summed over shards.
+type Counters struct {
+	PebblesComputed int64 `json:"pebbles_computed"`
+	PebblesTotal    int64 `json:"pebbles_total"`
+	BoundaryFlushes int64 `json:"boundary_flushes"`
+	BoundaryMsgs    int64 `json:"boundary_msgs"`
+	RingFullStalls  int64 `json:"ring_full_stalls"`
+	WorkerParks     int64 `json:"worker_parks"`
+	WorkerWakes     int64 `json:"worker_wakes"`
+	WorkerBlockedNs int64 `json:"worker_blocked_ns"`
+}
+
+// Gauges are the engine's high-water marks, maxed over shards.
+type Gauges struct {
+	RingOccupancyPeak int64 `json:"ring_occupancy_peak"`
+	PubclockLagMax    int64 `json:"pubclock_lag_max"`
+}
+
+// Histograms are the engine's histograms, buckets summed over shards.
+type Histograms struct {
+	BoundaryBatchSize HistSnapshot `json:"boundary_batch_size"`
+}
+
+// Snapshot is a merged view of one or more shards.
 type Snapshot struct {
-	Counters map[string]int64        `json:"counters,omitempty"`
-	Gauges   map[string]int64        `json:"gauges,omitempty"`
-	Hists    map[string]HistSnapshot `json:"histograms,omitempty"`
-}
-
-// Counter reads one merged counter from the snapshot (0 when absent).
-func (s *Snapshot) Counter(name string) int64 {
-	if s == nil {
-		return 0
-	}
-	return s.Counters[name]
-}
-
-// Gauge reads one merged gauge from the snapshot (0 when absent).
-func (s *Snapshot) Gauge(name string) int64 {
-	if s == nil {
-		return 0
-	}
-	return s.Gauges[name]
+	Counters   Counters   `json:"counters"`
+	Gauges     Gauges     `json:"gauges"`
+	Histograms Histograms `json:"histograms"`
 }
 
 // Snapshot merges every shard. Safe to call while shards are still being
-// written: counters and buckets are atomic loads, so the view is a slightly
-// stale but internally monotone cut.
+// written: every read is an atomic load, so the view is a slightly stale
+// but internally monotone cut. A nil registry has an all-zero snapshot.
 func (r *Registry) Snapshot() *Snapshot {
 	if r == nil {
 		return &Snapshot{}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.merge(r.shards)
+	s := merge(r.shards...)
+	return &s
 }
 
-// ShardSnapshot is one shard's own view, under the label it was created with.
+// ShardSnapshot is one shard's own view, with the chunk's host range.
 type ShardSnapshot struct {
-	Label string
-	*Snapshot
+	Lo, Hi int
+	Snapshot
 }
 
 // ShardSnapshots reads every shard on its own, in creation order. Like
@@ -265,87 +202,47 @@ func (r *Registry) ShardSnapshots() []ShardSnapshot {
 	defer r.mu.Unlock()
 	out := make([]ShardSnapshot, len(r.shards))
 	for i, s := range r.shards {
-		out[i] = ShardSnapshot{Label: s.label, Snapshot: r.merge([]*Shard{s})}
+		out[i] = ShardSnapshot{Lo: s.Lo, Hi: s.Hi, Snapshot: merge(s)}
 	}
 	return out
 }
 
 // merge folds shards into one snapshot: counters summed, gauges maxed,
-// histogram buckets summed. Callers hold r.mu.
-func (r *Registry) merge(shards []*Shard) *Snapshot {
-	out := &Snapshot{
-		Counters: make(map[string]int64, len(r.counters)),
-		Gauges:   make(map[string]int64, len(r.gauges)),
-		Hists:    make(map[string]HistSnapshot, len(r.hists)),
-	}
-	for i, name := range r.counters {
-		var v int64
-		for _, s := range shards {
-			if i < len(s.counters) {
-				v += s.counters[i].Load()
-			}
+// histogram buckets summed.
+func merge(shards ...*Shard) Snapshot {
+	var out Snapshot
+	c, g := &out.Counters, &out.Gauges
+	h := &out.Histograms.BoundaryBatchSize
+	var buckets [histBuckets]int64
+	for _, s := range shards {
+		c.PebblesComputed += s.PebblesComputed.Load()
+		c.PebblesTotal += s.PebblesTotal.Load()
+		c.BoundaryFlushes += s.BoundaryFlushes.Load()
+		c.BoundaryMsgs += s.BoundaryMsgs.Load()
+		c.RingFullStalls += s.RingFullStalls.Load()
+		c.WorkerParks += s.WorkerParks.Load()
+		c.WorkerWakes += s.WorkerWakes.Load()
+		c.WorkerBlockedNs += s.WorkerBlockedNs.Load()
+		g.RingOccupancyPeak = max(g.RingOccupancyPeak, s.RingOccupancyPeak.Load())
+		g.PubclockLagMax = max(g.PubclockLagMax, s.PubclockLagMax.Load())
+		sh := &s.BoundaryBatchSize
+		h.Count += sh.count.Load()
+		h.Sum += sh.sum.Load()
+		for b := range buckets {
+			buckets[b] += sh.buckets[b].Load()
 		}
-		out.Counters[name] = v
 	}
-	for i, name := range r.gauges {
-		var v int64
-		for _, s := range shards {
-			if i < len(s.gauges) {
-				if g := s.gauges[i].Load(); g > v {
-					v = g
-				}
-			}
+	top := 0
+	for b, n := range buckets {
+		if n > 0 {
+			top = b + 1
 		}
-		out.Gauges[name] = v
 	}
-	for i, name := range r.hists {
-		var h HistSnapshot
-		var buckets [histBuckets]int64
-		for _, s := range shards {
-			if i < len(s.hists) {
-				sh := &s.hists[i]
-				h.Count += sh.count.Load()
-				h.Sum += sh.sum.Load()
-				for b := range buckets {
-					buckets[b] += sh.buckets[b].Load()
-				}
-			}
-		}
-		top := 0
-		for b, c := range buckets {
-			if c > 0 {
-				top = b + 1
-			}
-		}
-		h.Buckets = append([]int64(nil), buckets[:top]...)
-		if h.Count > 0 {
-			h.Mean = float64(h.Sum) / float64(h.Count)
-		}
-		h.P50 = h.quantile(0.50)
-		h.P99 = h.quantile(0.99)
-		out.Hists[name] = h
+	h.Buckets = append([]int64(nil), buckets[:top]...)
+	if h.Count > 0 {
+		h.Mean = float64(h.Sum) / float64(h.Count)
 	}
-	return out
-}
-
-// Names returns every registered metric name, sorted, prefixed by kind
-// ("counter:", "gauge:", "hist:"). Used by tests and the manifest validator.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []string
-	for _, n := range r.counters {
-		out = append(out, "counter:"+n)
-	}
-	for _, n := range r.gauges {
-		out = append(out, "gauge:"+n)
-	}
-	for _, n := range r.hists {
-		out = append(out, "hist:"+n)
-	}
-	sort.Strings(out)
+	h.P50 = h.quantile(0.50)
+	h.P99 = h.quantile(0.99)
 	return out
 }

@@ -11,28 +11,24 @@ import (
 
 func TestRegistryMerge(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("pebbles_computed")
-	g := r.Gauge("depth_peak")
-	h := r.Histogram("batch")
-
-	s1 := r.NewShard("w0")
-	s2 := r.NewShard("w1")
-	s1.Add(c, 10)
-	s2.Add(c, 32)
-	s1.SetMax(g, 7)
-	s2.SetMax(g, 5)
-	s1.Observe(h, 0)
-	s1.Observe(h, 1)
-	s2.Observe(h, 100)
+	s1 := r.NewShard(0, 4)
+	s2 := r.NewShard(4, 8)
+	s1.PebblesComputed.Add(10)
+	s2.PebblesComputed.Add(32)
+	s1.RingOccupancyPeak.SetMax(7)
+	s2.RingOccupancyPeak.SetMax(5)
+	s1.BoundaryBatchSize.Observe(0)
+	s1.BoundaryBatchSize.Observe(1)
+	s2.BoundaryBatchSize.Observe(100)
 
 	snap := r.Snapshot()
-	if got := snap.Counter("pebbles_computed"); got != 42 {
+	if got := snap.Counters.PebblesComputed; got != 42 {
 		t.Errorf("counter merged to %d, want 42", got)
 	}
-	if got := snap.Gauge("depth_peak"); got != 7 {
+	if got := snap.Gauges.RingOccupancyPeak; got != 7 {
 		t.Errorf("gauge merged to %d, want 7 (max)", got)
 	}
-	hs := snap.Hists["batch"]
+	hs := snap.Histograms.BoundaryBatchSize
 	if hs.Count != 3 || hs.Sum != 101 {
 		t.Errorf("hist count=%d sum=%d, want 3/101", hs.Count, hs.Sum)
 	}
@@ -52,27 +48,24 @@ func TestRegistryMerge(t *testing.T) {
 // merge rules Snapshot applies across them.
 func TestShardSnapshots(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("pebbles_computed")
-	g := r.Gauge("depth_peak")
-	h := r.Histogram("batch")
-	s1 := r.NewShard("w0")
-	s2 := r.NewShard("w1")
-	s1.Add(c, 10)
-	s2.Add(c, 32)
-	s1.SetMax(g, 7)
-	s2.Observe(h, 100)
+	s1 := r.NewShard(0, 4)
+	s2 := r.NewShard(4, 8)
+	s1.PebblesComputed.Add(10)
+	s2.PebblesComputed.Add(32)
+	s1.PubclockLagMax.SetMax(7)
+	s2.BoundaryBatchSize.Observe(100)
 
 	shards := r.ShardSnapshots()
-	if len(shards) != 2 || shards[0].Label != "w0" || shards[1].Label != "w1" {
-		t.Fatalf("shard snapshots %+v, want w0 then w1", shards)
+	if len(shards) != 2 || shards[0].Lo != 0 || shards[0].Hi != 4 || shards[1].Lo != 4 || shards[1].Hi != 8 {
+		t.Fatalf("shard snapshots %+v, want [0,4) then [4,8)", shards)
 	}
-	if a, b := shards[0].Counter("pebbles_computed"), shards[1].Counter("pebbles_computed"); a != 10 || b != 32 {
+	if a, b := shards[0].Counters.PebblesComputed, shards[1].Counters.PebblesComputed; a != 10 || b != 32 {
 		t.Errorf("per-shard counters %d, %d, want 10, 32", a, b)
 	}
-	if a, b := shards[0].Gauge("depth_peak"), shards[1].Gauge("depth_peak"); a != 7 || b != 0 {
+	if a, b := shards[0].Gauges.PubclockLagMax, shards[1].Gauges.PubclockLagMax; a != 7 || b != 0 {
 		t.Errorf("per-shard gauges %d, %d, want 7, 0", a, b)
 	}
-	if a, b := shards[0].Hists["batch"].Count, shards[1].Hists["batch"].Count; a != 0 || b != 1 {
+	if a, b := shards[0].Histograms.BoundaryBatchSize.Count, shards[1].Histograms.BoundaryBatchSize.Count; a != 0 || b != 1 {
 		t.Errorf("per-shard histogram counts %d, %d, want 0, 1", a, b)
 	}
 	var nilReg *Registry
@@ -81,43 +74,29 @@ func TestShardSnapshots(t *testing.T) {
 	}
 }
 
+// A nil registry is telemetry switched off: it hands out nil shards, which
+// the engine never writes, and reads as an all-zero snapshot.
 func TestNilShardIsNoop(t *testing.T) {
-	var s *Shard
-	// The disabled fast path: all writes on a nil shard must be safe no-ops.
-	s.Add(0, 5)
-	s.Inc(0)
-	s.SetMax(0, 5)
-	s.Observe(0, 5)
 	var r *Registry
-	if sh := r.NewShard("x"); sh != nil {
+	if sh := r.NewShard(0, 1); sh != nil {
 		t.Fatal("nil registry must hand out nil shards")
 	}
-	if snap := r.Snapshot(); snap == nil || len(snap.Counters) != 0 {
-		t.Fatal("nil registry snapshot must be empty, not nil")
+	if snap := r.Snapshot(); snap == nil || snap.Counters != (Counters{}) || snap.Gauges != (Gauges{}) ||
+		snap.Histograms.BoundaryBatchSize.Count != 0 {
+		t.Fatalf("nil registry snapshot %+v, want empty, not nil", snap)
 	}
-}
-
-func TestRegisterAfterShardPanics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a")
-	r.NewShard("w0")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("registering a new metric after NewShard must panic")
-		}
-	}()
-	r.Counter("b")
+	// A sampler without a registry records memory only.
+	if last := StartSampler(nil, time.Millisecond).Stop(); len(last) == 0 || last[len(last)-1].Pebbles != 0 {
+		t.Fatalf("registry-less sampler series %+v", last)
+	}
 }
 
 func TestConcurrentShardWritesAndSnapshots(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("ops")
-	g := r.Gauge("peak")
-	h := r.Histogram("sizes")
 	const workers, per = 8, 1000
 	shards := make([]*Shard, workers)
 	for i := range shards {
-		shards[i] = r.NewShard("w")
+		shards[i] = r.NewShard(i, i+1)
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
@@ -125,9 +104,9 @@ func TestConcurrentShardWritesAndSnapshots(t *testing.T) {
 		go func(s *Shard) {
 			defer wg.Done()
 			for j := 0; j < per; j++ {
-				s.Inc(c)
-				s.SetMax(g, int64(j))
-				s.Observe(h, int64(j))
+				s.BoundaryFlushes.Add(1)
+				s.RingOccupancyPeak.SetMax(int64(j))
+				s.BoundaryBatchSize.Observe(int64(j))
 			}
 		}(shards[i])
 	}
@@ -135,7 +114,7 @@ func TestConcurrentShardWritesAndSnapshots(t *testing.T) {
 	var last int64
 	for i := 0; i < 50; i++ {
 		snap := r.Snapshot()
-		if v := snap.Counter("ops"); v < last {
+		if v := snap.Counters.BoundaryFlushes; v < last {
 			t.Errorf("counter went backwards: %d -> %d", last, v)
 		} else {
 			last = v
@@ -143,24 +122,23 @@ func TestConcurrentShardWritesAndSnapshots(t *testing.T) {
 	}
 	wg.Wait()
 	snap := r.Snapshot()
-	if got := snap.Counter("ops"); got != workers*per {
-		t.Errorf("ops = %d, want %d", got, workers*per)
+	if got := snap.Counters.BoundaryFlushes; got != workers*per {
+		t.Errorf("flushes = %d, want %d", got, workers*per)
 	}
-	if got := snap.Gauge("peak"); got != per-1 {
+	if got := snap.Gauges.RingOccupancyPeak; got != per-1 {
 		t.Errorf("peak = %d, want %d", got, per-1)
 	}
-	if got := snap.Hists["sizes"].Count; got != workers*per {
+	if got := snap.Histograms.BoundaryBatchSize.Count; got != workers*per {
 		t.Errorf("hist count = %d, want %d", got, workers*per)
 	}
 }
 
 func TestSamplerSeries(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("pebbles_computed")
-	sh := r.NewShard("w0")
+	sh := r.NewShard(0, 1)
 	s := StartSampler(r, time.Millisecond)
 	for i := 0; i < 100; i++ {
-		sh.Add(c, 10)
+		sh.PebblesComputed.Add(10)
 		time.Sleep(100 * time.Microsecond)
 	}
 	series := s.Stop()
@@ -185,8 +163,8 @@ func TestManifestRoundTripAndValidate(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/m.json"
 	snap := &Snapshot{
-		Counters: map[string]int64{"pebbles_computed": 1000, "boundary_msgs": 40},
-		Gauges:   map[string]int64{"ring_occupancy_peak": 2, "pubclock_lag_max": 17},
+		Counters: Counters{PebblesComputed: 1000, BoundaryMsgs: 40},
+		Gauges:   Gauges{RingOccupancyPeak: 2, PubclockLagMax: 17},
 	}
 	work := &Work{KnowRingBytesPeak: 2048, RouteBytes: 512, WaiterPoolHits: 7}
 	m := &RunManifest{
@@ -214,13 +192,16 @@ func TestManifestRoundTripAndValidate(t *testing.T) {
 	if got.Work == nil || *got.Work != *work {
 		t.Errorf("work section round-tripped to %+v, want %+v", got.Work, work)
 	}
+	if got.Metrics == nil || got.Metrics.Counters != snap.Counters || got.Metrics.Gauges != snap.Gauges {
+		t.Errorf("metrics section round-tripped to %+v, want %+v", got.Metrics, snap)
+	}
 	if err := got.Validate(); err != nil {
 		t.Errorf("valid manifest rejected: %v", err)
 	}
 
 	// A parallel run without ring telemetry must be rejected.
 	bad := *got
-	bad.Metrics = &Snapshot{Counters: map[string]int64{"pebbles_computed": 1000}}
+	bad.Metrics = &Snapshot{Counters: Counters{PebblesComputed: 1000}}
 	if err := bad.Validate(); err == nil ||
 		!strings.Contains(err.Error(), "ring_occupancy_peak") {
 		t.Errorf("missing ring telemetry not flagged: %v", err)

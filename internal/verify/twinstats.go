@@ -1,16 +1,16 @@
 package verify
 
 import (
+	"latencyhide/internal/assign"
+	"latencyhide/internal/guest"
 	"latencyhide/internal/network"
 	"latencyhide/internal/twin"
 )
 
 // TwinStats computes the analytical twin's topology statistics for the
-// scenario without running any engine: the host line summary (d_ave,
-// d_max, realized bandwidth), the assignment load, and the generalised
-// ping-pong propagation floors over the guest graph (see internal/twin).
-// The fleet harness feeds these to twin.Classify/Predict and joins them
-// against measured slowdowns.
+// scenario without running any engine (see TwinStatsOf). The fleet harness
+// feeds these to twin.Classify/Predict and joins them against measured
+// slowdowns.
 func (s *Scenario) TwinStats() (twin.Stats, error) {
 	g, err := s.Graph()
 	if err != nil {
@@ -20,33 +20,33 @@ func (s *Scenario) TwinStats() (twin.Stats, error) {
 	if err != nil {
 		return twin.Stats{}, err
 	}
-	delays := s.Delays()
+	return TwinStatsOf(g, a, s.Delays(), s.Rep, s.Steps, s.BW), nil
+}
+
+// TwinStatsOf computes the twin's statistics of guest g under assignment a
+// on the host line with the given link delays: the line summary (d_ave,
+// d_max, realized bandwidth, bw < 1 meaning the engine's default), the
+// assignment load, and the generalised ping-pong propagation floors over
+// the guest graph (see internal/twin).
+func TwinStatsOf(g guest.Graph, a *assign.Assignment, delays []int, rep, steps, bw int) twin.Stats {
+	hosts := len(delays) + 1
 	st := twin.Stats{
-		Hosts:     s.HostN,
-		Cols:      g.NumNodes(),
-		Load:      a.Load(),
-		Rep:       s.Rep,
-		Steps:     s.Steps,
-		Bandwidth: s.BW,
+		Hosts: hosts, Cols: g.NumNodes(), Load: a.Load(),
+		Rep: rep, Steps: steps, Bandwidth: bw,
 	}
 	if st.Bandwidth < 1 {
-		st.Bandwidth = network.Log2Ceil(s.HostN) // the engine's default
-		if st.Bandwidth < 1 {
-			st.Bandwidth = 1
-		}
+		st.Bandwidth = max(1, network.Log2Ceil(hosts)) // the engine's default
 	}
 	var sum float64
 	for _, d := range delays {
 		sum += float64(d)
-		if d > st.DMax {
-			st.DMax = d
-		}
+		st.DMax = max(st.DMax, d)
 	}
 	if len(delays) > 0 {
 		st.DAve = sum / float64(len(delays))
 	}
-	st.PropFloor, st.CertFloor = twin.Floors(g, a.Holders, delays, s.Steps)
-	return st, nil
+	st.PropFloor, st.CertFloor = twin.Floors(g, a.Holders, delays, steps)
+	return st
 }
 
 // StripDynamics returns a copy of the scenario with the fault plan and
