@@ -599,7 +599,7 @@ func BenchmarkExperimentHarness(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		var sink discard
-		if err := expt.RunAll(&sink, expt.Quick, false); err != nil {
+		if err := expt.Write(&sink, expt.Run(expt.All(), expt.Quick, 0, nil), false); err != nil {
 			b.Fatal(err)
 		}
 	}

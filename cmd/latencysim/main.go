@@ -1,12 +1,12 @@
 // Command latencysim is the CLI for the latencyhide library: it inspects
-// host topologies, runs single OVERLAP simulations, sweeps parameters and
+// host topologies, runs single OVERLAP simulations (optionally explained by
+// the event-stream instruments of package obs), sweeps parameters and
 // regenerates the paper experiments.
 //
 // Usage:
 //
 //	latencysim topo   -host mesh -n 256 [-delay exp -mean 3] [-tree] [-o host.json]
-//	latencysim run    -host random -n 256 -variant twolevel -steps 64 -check [-trace] [-trace-out t.json] [-profile cpu.pprof]
-//	latencysim trace  -host random -n 256 -out trace.json [-summary s.json] [-csv links.csv] [-heatmap]
+//	latencysim run    -host random -n 256 -variant twolevel -steps 64 -check [-trace] [-trace-out t.json] [-links-csv links.csv] [-profile cpu.pprof]
 //	latencysim sweep  -host line -from 128 -to 2048 -csv
 //	latencysim guest  -guest butterfly -gn 5 -host random -layout auto
 //	latencysim plan   -host @host.json
@@ -16,14 +16,14 @@
 package main
 
 import (
-	"bytes"
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime/pprof"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -52,8 +52,6 @@ func main() {
 		err = cmdTopo(os.Args[2:])
 	case "run":
 		err = cmdRun(os.Args[2:])
-	case "trace":
-		err = cmdTrace(os.Args[2:])
 	case "sweep":
 		err = cmdSweep(os.Args[2:])
 	case "exp", "experiments":
@@ -88,8 +86,8 @@ func usage() {
 
 commands:
   topo    describe a host topology and its dilation-3 line embedding
-  run     run one OVERLAP simulation and print measurements
-  trace   run with full observability: stall causes, critical path, link gauges, Chrome trace
+  run     run one OVERLAP simulation and print measurements (-trace: stall causes,
+          critical path, busiest links, compute heatmap; -trace-out: Chrome trace)
   sweep   sweep host size and print a slowdown table (or CSV)
   guest   simulate a tree/hypercube/butterfly/array guest via a 1-D layout
   plan    analyse a host and recommend OVERLAP parameters
@@ -103,9 +101,10 @@ sweep also runs in fleet mode (-fleet N [-shards K -shard I] [-fleet-out s.jsonl
 thousands of generated scenarios sharded across worker processes into
 resumable JSONL stores that "twin -report -store" joins and scores.
 
-run, sweep, exp and verify accept -manifest-out <file.json> (machine-readable
-run record: config hash, engine metrics, memory series, bytes/pebble) and
--live (refreshing progress line on stderr).`)
+run, sweep, exp, verify and twin accept -manifest-out <file.json> (machine-readable
+run record: config hash, engine metrics, memory series, bytes/pebble; for run
+also the stall tiling and the critical path) and -live (refreshing progress
+line on stderr).`)
 }
 
 // hostFlags builds a host network from common flags.
@@ -237,11 +236,14 @@ func cmdTopo(args []string) error {
 // adaptive policy that can never fire (mode=fault gates activation on
 // injected-fault forensics, so it needs a fault plan to read). It returns
 // the parsed fault plan and adapt policy (nil when the specs are empty).
-func validateRunFlags(workers int, outPath, faultsSpec, adaptSpec string) (*fault.Plan, *adapt.Policy, error) {
+func validateRunFlags(workers int, faultsSpec, adaptSpec string, outPaths ...string) (*fault.Plan, *adapt.Policy, error) {
 	if workers < 0 {
 		return nil, nil, fmt.Errorf("-workers must be >= 0, got %d", workers)
 	}
-	if outPath != "" {
+	for _, outPath := range outPaths {
+		if outPath == "" {
+			continue
+		}
 		dir := filepath.Dir(outPath)
 		if fi, err := os.Stat(dir); err != nil {
 			return nil, nil, fmt.Errorf("output directory %q does not exist", dir)
@@ -294,15 +296,16 @@ func cmdRun(args []string) error {
 	workers := fs.Int("workers", 0, "parallel engine chunks (0 = sequential)")
 	check := fs.Bool("check", false, "verify replica digests against the reference executor")
 	seed := fs.Int64("guestseed", 7, "guest computation seed")
-	trace := fs.Bool("trace", false, "print a utilization timeline from the run's event stream")
+	trace := fs.Bool("trace", false, "print the stall-cause, critical-path and busiest-link tables and the compute heatmap")
 	traceOut := fs.String("trace-out", "", "write a Chrome trace-event JSON of the run to this file")
+	linksCSV := fs.String("links-csv", "", "write every directed link's gauges as CSV to this file")
 	profile := fs.String("profile", "", "write a CPU pprof profile of the run to this file")
 	faults := fs.String("faults", "", "deterministic fault plan, e.g. '7:outage=0.1x8;crash=3@40' (see DESIGN.md)")
 	adaptSpec := fs.String("adapt", "", "adaptive replication policy, e.g. 'epoch=64,thresh=0.35,extra=1,budget=16,mode=fault' (see DESIGN.md)")
 	manifestOut, liveFlag := manifestFlags(fs)
 	fs.Parse(args)
 
-	plan, pol, err := validateRunFlags(*workers, *traceOut, *faults, *adaptSpec)
+	plan, pol, err := validateRunFlags(*workers, *faults, *adaptSpec, *traceOut, *linksCSV)
 	if err != nil {
 		return err
 	}
@@ -326,9 +329,9 @@ func cmdRun(args []string) error {
 		Adapt: pol, Telemetry: reg,
 	}
 	var rec *obs.Buffer
-	if *trace || *traceOut != "" || mr.active() {
-		// The timeline, the Chrome trace and the manifest's stall tiling
-		// all read the event stream.
+	if *trace || *traceOut != "" || *linksCSV != "" || mr.active() {
+		// The trace tables, the Chrome trace, the links CSV and the
+		// manifest's stalls and critical path all read the event stream.
 		rec = obs.NewBuffer()
 		opts.Recorder = rec
 	}
@@ -383,11 +386,12 @@ func cmdRun(args []string) error {
 	if len(chunks) > 1 {
 		chunkTable(chunks).Fprint(os.Stdout)
 	}
-	if *trace {
-		printTrace(rec.Events(), out.LiveProcs)
-	}
-	if *traceOut != "" || mr.active() {
+	if rec != nil {
 		a := obs.Analyze(rec.Events(), *out.ObsInfo)
+		stalls, path := a.Stalls(), a.CriticalPath()
+		if *trace {
+			printTrace(a, stalls, path, out.Sim.HostSteps)
+		}
 		if *traceOut != "" {
 			if err := obs.WriteChromeTraceFile(*traceOut, rec.Events(), a.StallSpans(), *out.ObsInfo); err != nil {
 				return err
@@ -395,12 +399,14 @@ func cmdRun(args []string) error {
 			fmt.Printf("trace-out: wrote %s (%d events; open in chrome://tracing or Perfetto)\n",
 				*traceOut, rec.Len())
 		}
-		if mr != nil {
-			s := a.Stalls()
-			mr.m.Stalls = &telemetry.StallSummary{
-				ProcSteps: s.ProcSteps, Busy: s.Busy, Idle: s.Idle,
-				Dependency: s.Dependency, Bandwidth: s.Bandwidth, Fault: s.Fault,
+		if *linksCSV != "" {
+			if err := obs.LinkTable(a.LinkGauges()).CSVFile(*linksCSV); err != nil {
+				return err
 			}
+			fmt.Printf("links-csv: wrote %s\n", *linksCSV)
+		}
+		if mr != nil {
+			mr.m.Stalls, mr.m.CriticalPath = &stalls, path
 		}
 	}
 	if mr != nil {
@@ -420,49 +426,26 @@ func cmdRun(args []string) error {
 	return mr.finish()
 }
 
-// printTrace renders compute-utilization and traffic sparklines from the
-// run's compute and inject events, binned by host step into at most 60
-// buckets of a multiple of 8 steps.
-func printTrace(events []obs.Event, liveProcs int) {
-	var last int64
-	for _, e := range events {
-		if (e.Kind == obs.KindCompute || e.Kind == obs.KindInject) && e.Step > last {
-			last = e.Step
-		}
-	}
-	windows := int((last + 7) / 8) // 8-step windows up to the last event
-	k := max(1, (windows+59)/60)
-	bucket := int64(8 * k)
-	n := (windows + k - 1) / k
-	util := make([]float64, n)
-	hops := make([]float64, n)
-	for _, e := range events {
-		switch e.Kind {
-		case obs.KindCompute:
-			util[(e.Step-1)/bucket]++
-		case obs.KindInject:
-			hops[(e.Step-1)/bucket]++
-		}
-	}
-	if den := float64(liveProcs) * float64(bucket); den > 0 {
-		for i := range util {
-			util[i] /= den
-		}
-	}
-	var hmax float64
-	for _, h := range hops {
-		if h > hmax {
-			hmax = h
-		}
-	}
-	if hmax > 0 {
-		for i := range hops {
-			hops[i] /= hmax
-		}
-	}
-	fmt.Printf("trace (window = %d host steps):\n", bucket)
-	fmt.Printf("  compute utilization  %s\n", spark(util))
-	fmt.Printf("  link traffic (rel.)  %s\n", spark(hops))
+// printTrace prints run -trace's section: the stall-cause tiling and the
+// critical path, which tell the Theorem 2 bound's latency term from its
+// bandwidth term, the 8 busiest directed links, and the per-workstation
+// compute heatmap in at most 60 windows.
+func printTrace(a *obs.Analysis, stalls obs.StallBreakdown, path *obs.CriticalPath, hostSteps int64) {
+	fmt.Println()
+	obs.StallTable(stalls).Fprint(os.Stdout)
+	fmt.Println()
+	obs.CritPathTable(path).Fprint(os.Stdout)
+	fmt.Println()
+	gauges := a.LinkGauges()
+	busiest := slices.Clone(gauges)
+	slices.SortStableFunc(busiest, func(x, y obs.LinkGauge) int { return cmp.Compare(y.Injects, x.Injects) })
+	busiest = busiest[:min(8, len(busiest))]
+	lt := obs.LinkTable(busiest)
+	lt.Title = fmt.Sprintf("busiest %d of %d directed links", len(busiest), len(gauges))
+	lt.Fprint(os.Stdout)
+	window := max(1, int(hostSteps/60))
+	fmt.Printf("\ncompute heatmap (window = %d host steps):\n", window)
+	fmt.Print(obs.HeatmapString(a.Heatmap(window), 32))
 }
 
 // chunkTable renders the parallel engine's per-chunk telemetry shards,
@@ -495,123 +478,6 @@ func chunkTable(shards []telemetry.ShardSnapshot) *metrics.Table {
 	return t
 }
 
-// cmdTrace runs one simulation with full observability: it records the
-// structured event stream, prints the stall-cause breakdown, critical-path
-// decomposition and busiest link gauges, and optionally exports a Chrome
-// trace, a JSON summary and a link-gauge CSV.
-func cmdTrace(args []string) error {
-	fs := flag.NewFlagSet("trace", flag.ExitOnError)
-	hf := addHostFlags(fs)
-	variant := fs.String("variant", "twolevel", "overlap variant: loadone|workefficient|twolevel")
-	steps := fs.Int("steps", 64, "guest steps")
-	beta := fs.Int("beta", 0, "database block size (0 = default)")
-	bw := fs.Int("bw", 0, "link bandwidth in pebbles/step (0 = log n)")
-	workers := fs.Int("workers", 0, "parallel engine chunks (0 = sequential)")
-	seed := fs.Int64("guestseed", 7, "guest computation seed")
-	out := fs.String("out", "", "write Chrome trace-event JSON to this file")
-	summary := fs.String("summary", "", "write the JSON run summary to this file")
-	csvPath := fs.String("csv", "", "write the link gauges as CSV to this file")
-	heatmap := fs.Bool("heatmap", false, "print the per-workstation compute heatmap")
-	links := fs.Int("links", 8, "how many busiest directed links to print")
-	faults := fs.String("faults", "", "deterministic fault plan, e.g. '7:outage=0.1x8;crash=3@40' (see DESIGN.md)")
-	adaptSpec := fs.String("adapt", "", "adaptive replication policy, e.g. 'epoch=64,thresh=0.35,mode=fault' (see DESIGN.md)")
-	fs.Parse(args)
-
-	plan, pol, err := validateRunFlags(*workers, *out, *faults, *adaptSpec)
-	if err != nil {
-		return err
-	}
-	g, err := hf.build()
-	if err != nil {
-		return err
-	}
-	v, err := parseVariant(*variant)
-	if err != nil {
-		return err
-	}
-	rec := obs.NewBuffer()
-	o, err := overlap.Simulate(g, overlap.Options{
-		Variant: v, Steps: *steps, Beta: *beta, Seed: *seed,
-		Bandwidth: *bw, Workers: *workers, Recorder: rec, Faults: plan,
-		Adapt: pol,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("host: %s\n", g)
-	fmt.Printf("run: guest_steps=%d host_steps=%d slowdown=%.2f events=%d\n\n",
-		o.Sim.GuestSteps, o.Sim.HostSteps, o.Sim.Slowdown, rec.Len())
-
-	a := obs.Analyze(rec.Events(), *o.ObsInfo)
-	obs.StallTable(a.Stalls()).Fprint(os.Stdout)
-	fmt.Println()
-	obs.CritPathTable(a.CriticalPath()).Fprint(os.Stdout)
-	fmt.Println()
-
-	gauges := a.LinkGauges()
-	busiest := append([]obs.LinkGauge(nil), gauges...)
-	sort.Slice(busiest, func(i, j int) bool { return busiest[i].Injects > busiest[j].Injects })
-	if *links > 0 && len(busiest) > *links {
-		busiest = busiest[:*links]
-	}
-	lt := obs.LinkTable(busiest)
-	lt.Title = fmt.Sprintf("busiest %d of %d directed links", len(busiest), len(gauges))
-	lt.Fprint(os.Stdout)
-
-	if *heatmap {
-		window := int(o.Sim.HostSteps / 60)
-		if window < 1 {
-			window = 1
-		}
-		fmt.Printf("\ncompute heatmap (window = %d host steps):\n", window)
-		fmt.Print(obs.HeatmapString(a.Heatmap(window), 32))
-	}
-	if *out != "" {
-		if err := obs.WriteChromeTraceFile(*out, rec.Events(), a.StallSpans(), *o.ObsInfo); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote %s (open in chrome://tracing or Perfetto)\n", *out)
-	}
-	if *summary != "" {
-		f, err := os.Create(*summary)
-		if err != nil {
-			return err
-		}
-		if err := a.Summarize().WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *summary)
-	}
-	if *csvPath != "" {
-		full := obs.LinkTable(gauges)
-		if err := full.CSVFile(*csvPath); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *csvPath)
-	}
-	return nil
-}
-
-// spark renders values in [0,1] as a unicode sparkline.
-func spark(vals []float64) string {
-	ramp := []rune(" .:-=+*#%@")
-	out := make([]rune, len(vals))
-	for i, v := range vals {
-		if v < 0 {
-			v = 0
-		}
-		if v > 1 {
-			v = 1
-		}
-		out[i] = ramp[int(v*float64(len(ramp)-1)+0.5)]
-	}
-	return string(out)
-}
-
 func cmdSweep(args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 	hf := addHostFlags(fs)
@@ -637,7 +503,7 @@ func cmdSweep(args []string) error {
 		return runFleetSweep(os.Stdout, p, *fleetOut, *fleetWorkers, mr, *liveFlag)
 	}
 
-	plan, pol, err := validateRunFlags(0, "", *faults, *adaptSpec)
+	plan, pol, err := validateRunFlags(0, *faults, *adaptSpec)
 	if err != nil {
 		return err
 	}
@@ -740,48 +606,13 @@ func cmdExp(args []string) error {
 		fmt.Fprintln(f, "\nGenerated by `latencysim exp`. See DESIGN.md for the per-experiment index")
 		fmt.Fprintln(f, "and EXPERIMENTS.md for the paper-vs-measured discussion.")
 	}
+	if *csvDir != "" {
+		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+			return err
+		}
+	}
 	mr := startMRun("exp", fs, *manifestOut, *liveFlag)
 	mr.startSampling()
-	if *only != "" || *csvDir != "" {
-		if *csvDir != "" {
-			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-				return err
-			}
-		}
-		for _, e := range exps {
-			start := time.Now()
-			tables, err := e.Run(scale)
-			wall := time.Since(start)
-			if err != nil {
-				return fmt.Errorf("%s: %w", e.ID, err)
-			}
-			if *csvDir != "" {
-				if err := writeCSVs(out, *csvDir, e.ID, tables); err != nil {
-					return err
-				}
-			} else {
-				fmt.Fprintf(out, "=== %s: %s (%s) ===\n\n", e.ID, e.Title, e.Paper)
-				for _, t := range tables {
-					if *md {
-						t.Markdown(out)
-					} else {
-						t.Fprint(out)
-						fmt.Fprintln(out)
-					}
-				}
-			}
-			if mr != nil {
-				mr.m.Experiments = append(mr.m.Experiments, telemetry.ExpTiming{ID: e.ID, WallSeconds: wall.Seconds()})
-			}
-		}
-		if mr != nil {
-			mr.m.Scenario = fmt.Sprintf("experiment %s scale=%s", exps[0].ID, *scaleStr)
-			if len(exps) > 1 {
-				mr.m.Scenario = fmt.Sprintf("all experiments scale=%s", *scaleStr)
-			}
-		}
-		return mr.finish()
-	}
 	var status struct {
 		sync.Mutex
 		line string
@@ -791,46 +622,58 @@ func cmdExp(args []string) error {
 		defer status.Unlock()
 		return status.line
 	})
-	// Render into a buffer while the live line owns the terminal; flush after.
-	var buf bytes.Buffer
-	dst := out
-	if mr != nil && mr.live != nil {
-		dst = &buf
-	}
-	timings, runErr := expt.RunAllTimed(dst, scale, *md, *jobs, func(done, total int, id string) {
+	results := expt.Run(exps, scale, *jobs, func(done, total int, id string) {
 		status.Lock()
 		status.line = fmt.Sprintf("exp: %d/%d done (last %s)", done, total, id)
 		status.Unlock()
 	})
 	mr.stopLive()
-	if buf.Len() > 0 {
-		out.Write(buf.Bytes())
+	if *csvDir != "" {
+		err = writeCSVs(out, *csvDir, results)
+	} else {
+		err = expt.Write(out, results, *md)
 	}
-	if runErr != nil {
-		return runErr
+	if err != nil {
+		return err
 	}
 	if mr != nil {
 		mr.m.Scenario = fmt.Sprintf("all experiments scale=%s", *scaleStr)
-		for _, tm := range timings {
+		if *only != "" {
+			mr.m.Scenario = fmt.Sprintf("experiment %s scale=%s", exps[0].ID, *scaleStr)
+		}
+		for _, r := range results {
 			mr.m.Experiments = append(mr.m.Experiments,
-				telemetry.ExpTiming{ID: tm.ID, WallSeconds: tm.Wall.Seconds()})
+				telemetry.ExpTiming{ID: r.Exp.ID, WallSeconds: r.Wall.Seconds()})
 		}
 	}
 	return mr.finish()
 }
 
-// writeCSVs writes an experiment's tables into dir as <ID>.csv, or
-// <ID>-1.csv, <ID>-2.csv, ... when it has several, naming each on log.
-func writeCSVs(log io.Writer, dir, id string, tables []*metrics.Table) error {
-	for i, t := range tables {
-		name := id + ".csv"
-		if len(tables) > 1 {
-			name = fmt.Sprintf("%s-%d.csv", id, i+1)
+// writeCSVs writes each experiment's tables into dir as <ID>.csv, or
+// <ID>-1.csv, <ID>-2.csv, ... when it has several, naming each on log. A
+// failed experiment is reported on log and writes nothing; the first such
+// error is returned after the others are written.
+func writeCSVs(log io.Writer, dir string, results []expt.Result) error {
+	var firstErr error
+	for _, r := range results {
+		id := r.Exp.ID
+		if r.Err != nil {
+			fmt.Fprintf(log, "%s FAILED: %v\n", id, r.Err)
+			if firstErr == nil {
+				firstErr = fmt.Errorf("%s: %w", id, r.Err)
+			}
+			continue
 		}
-		if err := t.CSVFile(filepath.Join(dir, name)); err != nil {
-			return err
+		for i, t := range r.Tables {
+			name := id + ".csv"
+			if len(r.Tables) > 1 {
+				name = fmt.Sprintf("%s-%d.csv", id, i+1)
+			}
+			if err := t.CSVFile(filepath.Join(dir, name)); err != nil {
+				return err
+			}
+			fmt.Fprintf(log, "wrote %s\n", name)
 		}
-		fmt.Fprintf(log, "wrote %s\n", name)
 	}
-	return nil
+	return firstErr
 }

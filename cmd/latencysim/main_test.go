@@ -66,33 +66,33 @@ func captureStdout(t *testing.T, fn func() error) string {
 	return out
 }
 
-// traceSection cuts the utilization timeline (its header and two sparklines)
-// out of run's output.
+// traceSection cuts run -trace's section (the stall, critical-path and
+// busiest-link tables and the heatmap) out of run's output.
 func traceSection(t *testing.T, out string) string {
 	t.Helper()
-	i := strings.Index(out, "trace (window")
+	i := strings.Index(out, "## stall-cause breakdown")
 	if i < 0 {
 		t.Fatalf("no trace section in:\n%s", out)
 	}
-	lines := strings.SplitAfterN(out[i:], "\n", 4)
-	if len(lines) < 3 {
-		t.Fatalf("truncated trace section:\n%s", out[i:])
-	}
-	return strings.Join(lines[:3], "")
+	return out[i:]
 }
 
-// run -trace's timeline is deterministic. The sequential run's whole output
+// run -trace's section is deterministic. The sequential run's whole output
 // is pinned; the parallel run prints a chunk table of wall-clock figures
-// beside it, so only its trace section is pinned.
+// before it, so only its trace section is pinned. The event stream is
+// bit-identical across engines, so that section must equal the sequential
+// engine's on the same flags.
 func TestRunTraceGolden(t *testing.T) {
 	seq := captureStdout(t, func() error {
 		return cmdRun([]string{"-host", "line", "-n", "48", "-steps", "8", "-variant", "loadone", "-trace"})
 	})
 	checkGolden(t, "run_trace", seq)
-	par := captureStdout(t, func() error {
-		return cmdRun([]string{"-host", "random", "-n", "64", "-steps", "40", "-variant", "loadone", "-bw", "1", "-workers", "4", "-trace"})
-	})
-	checkGolden(t, "run_trace_workers4", traceSection(t, par))
+	args := []string{"-host", "random", "-n", "64", "-steps", "40", "-variant", "loadone", "-bw", "1", "-trace"}
+	par := traceSection(t, captureStdout(t, func() error { return cmdRun(append(args, "-workers", "4")) }))
+	checkGolden(t, "run_trace_workers4", par)
+	if seq := traceSection(t, captureStdout(t, func() error { return cmdRun(append(args, "-workers", "0")) })); seq != par {
+		t.Errorf("run -trace section differs between engines:\n--- workers 4 ---\n%s--- workers 0 ---\n%s", par, seq)
+	}
 }
 
 func TestParseVariant(t *testing.T) {
@@ -175,17 +175,6 @@ func TestHostFromJSONFile(t *testing.T) {
 	}
 }
 
-func TestSpark(t *testing.T) {
-	s := spark([]float64{0, 0.5, 1, -3, 9})
-	if len([]rune(s)) != 5 {
-		t.Fatalf("spark %q", s)
-	}
-	r := []rune(s)
-	if r[0] != ' ' || r[2] != '@' || r[3] != ' ' || r[4] != '@' {
-		t.Fatalf("spark clamps wrong: %q", s)
-	}
-}
-
 // Smoke tests: drive each subcommand's implementation directly on tiny
 // inputs (they print to stdout, which `go test` captures).
 func TestSubcommandSmoke(t *testing.T) {
@@ -233,19 +222,20 @@ func TestSubcommandSmoke(t *testing.T) {
 	}
 }
 
-// The trace subcommand must emit a structurally valid Chrome trace-event
-// file plus the JSON summary and CSV exports.
-func TestTraceSubcommand(t *testing.T) {
+// run -trace-out must emit a structurally valid Chrome trace-event file,
+// -links-csv the link gauges as CSV, and -manifest-out a manifest whose
+// stalls and critical_path sections tile.
+func TestRunTraceExports(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "trace.json")
-	sumPath := filepath.Join(dir, "summary.json")
 	csvPath := filepath.Join(dir, "links.csv")
-	err := cmdTrace([]string{
-		"-host", "random", "-n", "64", "-steps", "8",
-		"-out", tracePath, "-summary", sumPath, "-csv", csvPath, "-heatmap",
+	manifestPath := filepath.Join(dir, "m.json")
+	err := cmdRun([]string{
+		"-host", "random", "-n", "64", "-steps", "8", "-trace",
+		"-trace-out", tracePath, "-links-csv", csvPath, "-manifest-out", manifestPath,
 	})
 	if err != nil {
-		t.Fatalf("trace: %v", err)
+		t.Fatalf("run -trace: %v", err)
 	}
 	raw, err := os.ReadFile(tracePath)
 	if err != nil {
@@ -265,17 +255,6 @@ func TestTraceSubcommand(t *testing.T) {
 			t.Fatalf("chrome event missing %q: %v", field, doc.TraceEvents[0])
 		}
 	}
-	sumRaw, err := os.ReadFile(sumPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum map[string]interface{}
-	if err := json.Unmarshal(sumRaw, &sum); err != nil {
-		t.Fatalf("summary not valid JSON: %v", err)
-	}
-	if _, ok := sum["bandwidthShare"]; !ok {
-		t.Fatalf("summary missing bandwidthShare: %v", sum)
-	}
 	csvRaw, err := os.ReadFile(csvPath)
 	if err != nil {
 		t.Fatal(err)
@@ -283,6 +262,21 @@ func TestTraceSubcommand(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(string(csvRaw)), "\n")
 	if len(lines) < 2 || !strings.HasPrefix(lines[0], "link,dir,") {
 		t.Fatalf("links CSV malformed: %q", lines[0])
+	}
+	m, err := telemetry.LoadManifest(manifestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Stalls == nil || m.CriticalPath == nil || m.CriticalPath.Length <= 0 {
+		t.Fatalf("manifest lacks its stalls or critical_path section: %+v, %+v", m.Stalls, m.CriticalPath)
+	}
+	if err := m.Validate(); err != nil {
+		t.Fatalf("manifest fails its own contract: %v", err)
+	}
+	// An output path in a missing directory fails before the run.
+	err = cmdRun([]string{"-host", "line", "-n", "16", "-links-csv", filepath.Join(dir, "nope", "links.csv")})
+	if err == nil || !strings.Contains(err.Error(), "does not exist") {
+		t.Fatalf("run -links-csv into a missing directory: %v", err)
 	}
 }
 
@@ -388,7 +382,7 @@ func TestValidateRunFlags(t *testing.T) {
 		{"adapt bad epoch", 0, "", "", "epoch=0", "-adapt"},
 	}
 	for _, tc := range cases {
-		plan, pol, err := validateRunFlags(tc.workers, tc.out, tc.faults, tc.adapt)
+		plan, pol, err := validateRunFlags(tc.workers, tc.faults, tc.adapt, tc.out)
 		if tc.wantErr == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", tc.name, err)
@@ -431,7 +425,7 @@ func TestVerifySubcommandGolden(t *testing.T) {
 	checkGolden(t, "verify_summary", sb.String())
 }
 
-// Every flag-validation failure across run/trace/verify must be a one-line
+// Every flag-validation failure across run/sweep/verify must be a one-line
 // error; the exact wording is pinned as a golden file.
 func TestFlagErrorsGolden(t *testing.T) {
 	var sb strings.Builder
@@ -445,17 +439,17 @@ func TestFlagErrorsGolden(t *testing.T) {
 		}
 		fmt.Fprintf(&sb, "%s: %v\n", label, err)
 	}
-	_, _, err := validateRunFlags(-1, "", "", "")
-	collect("run/trace -workers", err)
-	_, _, err = validateRunFlags(0, filepath.Join("no", "such", "dir", "t.json"), "", "")
-	collect("run/trace -trace-out", err)
-	_, _, err = validateRunFlags(0, "", "outage=0.1x8", "")
-	collect("run/trace -faults no seed", err)
-	_, _, err = validateRunFlags(0, "", "7:meteor=1", "")
-	collect("run/trace -faults bad kind", err)
-	_, _, err = validateRunFlags(0, "", "", "epoch=0")
+	_, _, err := validateRunFlags(-1, "", "")
+	collect("run -workers", err)
+	_, _, err = validateRunFlags(0, "", "", filepath.Join("no", "such", "dir", "t.json"))
+	collect("run -trace-out", err)
+	_, _, err = validateRunFlags(0, "outage=0.1x8", "")
+	collect("run -faults no seed", err)
+	_, _, err = validateRunFlags(0, "7:meteor=1", "")
+	collect("run -faults bad kind", err)
+	_, _, err = validateRunFlags(0, "", "epoch=0")
 	collect("run/sweep -adapt bad epoch", err)
-	_, _, err = validateRunFlags(0, "", "", "epoch=64,mode=fault")
+	_, _, err = validateRunFlags(0, "", "epoch=64,mode=fault")
 	collect("run/sweep -adapt fault mode without -faults", err)
 	collect("verify -n", runVerify([]string{"-n", "0"}, io.Discard))
 	checkGolden(t, "flag_errors", sb.String())
@@ -579,6 +573,9 @@ func TestRunManifestRoundTrip(t *testing.T) {
 	if m.Stalls == nil || m.Stalls.Busy != m.Pebbles {
 		t.Fatalf("stall tiling missing or inconsistent: %+v (pebbles=%d)", m.Stalls, m.Pebbles)
 	}
+	if m.CriticalPath == nil || m.CriticalPath.Length <= 0 || m.CriticalPath.Length > m.HostSteps {
+		t.Fatalf("critical path missing or longer than the run: %+v (host steps %d)", m.CriticalPath, m.HostSteps)
+	}
 	if got := m.Metrics.Counters.PebblesComputed; got != m.Pebbles {
 		t.Fatalf("telemetry pebbles %d != result pebbles %d", got, m.Pebbles)
 	}
@@ -618,6 +615,47 @@ func TestRunManifestRoundTrip(t *testing.T) {
 	}
 	if err := cmdManifest([]string{filepath.Join(dir, "missing.json")}); err == nil {
 		t.Fatal("missing manifest accepted")
+	}
+}
+
+// manifest -check rejects a run manifest whose stalls do not tile, whose
+// critical-path legs do not sum to its length, or that has no critical_path
+// section.
+func TestManifestCheckRejectsBrokenRun(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "m.json")
+	if err := cmdRun([]string{"-host", "line", "-n", "32", "-steps", "8", "-manifest-out", path}); err != nil {
+		t.Fatalf("run -manifest-out: %v", err)
+	}
+	good, err := telemetry.LoadManifest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdManifest([]string{"-check", path}); err != nil {
+		t.Fatalf("unbroken manifest rejected: %v", err)
+	}
+	for _, c := range []struct {
+		name, want string
+		breakIt    func(m *telemetry.RunManifest)
+	}{
+		{"tiling", "proc_steps", func(m *telemetry.RunManifest) { m.Stalls.Idle++ }},
+		{"legs", "length", func(m *telemetry.RunManifest) { m.CriticalPath.Wait++ }},
+		{"no path", "missing critical_path", func(m *telemetry.RunManifest) { m.CriticalPath = nil }},
+	} {
+		m, err := telemetry.LoadManifest(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.breakIt(m)
+		broken := filepath.Join(dir, "broken.json")
+		if err := m.WriteFile(broken); err != nil {
+			t.Fatal(err)
+		}
+		err = cmdManifest([]string{"-check", broken})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: manifest -check gave %v, want an error naming %q (unbroken: %+v %+v)",
+				c.name, err, c.want, good.Stalls, good.CriticalPath)
+		}
 	}
 }
 
@@ -787,7 +825,7 @@ func TestRunWithFaults(t *testing.T) {
 	if err := cmdRun([]string{"-host", "line", "-n", "48", "-workers", "-2"}); err == nil {
 		t.Fatal("negative -workers accepted")
 	}
-	if err := cmdTrace([]string{"-host", "line", "-n", "48", "-workers", "-2"}); err == nil {
-		t.Fatal("trace: negative -workers accepted")
+	if err := cmdRun([]string{"-host", "line", "-n", "48", "-trace", "-workers", "-2"}); err == nil {
+		t.Fatal("run -trace: negative -workers accepted")
 	}
 }

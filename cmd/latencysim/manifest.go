@@ -30,7 +30,7 @@ type mrun struct {
 // choose where outputs go or how progress is shown, never what runs. The
 // manifest's config hash leaves them out, so one configuration written to
 // two paths keeps one hash.
-var outputOnlyFlags = []string{"manifest-out", "live", "trace-out", "profile", "fleet-out"}
+var outputOnlyFlags = []string{"manifest-out", "live", "trace-out", "links-csv", "profile", "fleet-out"}
 
 // manifestFlags registers the shared -manifest-out / -live flags.
 func manifestFlags(fs *flag.FlagSet) (manifestOut *string, live *bool) {
@@ -185,6 +185,10 @@ func cmdManifest(args []string) error {
 		s := m.Stalls
 		fmt.Printf("stalls:   busy=%d idle=%d dep=%d bw=%d fault=%d of %d proc-steps\n",
 			s.Busy, s.Idle, s.Dependency, s.Bandwidth, s.Fault, s.ProcSteps)
+	}
+	if cp := m.CriticalPath; cp != nil {
+		fmt.Printf("critpath: compute=%d transit=%d queue=%d wait=%d of %d steps\n",
+			cp.Compute, cp.Transit, cp.Queue, cp.Wait, cp.Length)
 	}
 	if m.Work != nil {
 		printSection("work", m.Work)

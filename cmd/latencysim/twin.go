@@ -137,25 +137,11 @@ func runFleetSweep(w io.Writer, plan fleet.Plan, outPath string, workers int, mr
 	if outPath == "" {
 		outPath = fmt.Sprintf("fleet-shard%d.jsonl", plan.Shard)
 	}
-	st, err := fleet.Open(outPath)
+	st, resumed, err := measureShard(mr, live, "fleet: %d/%d items", plan, outPath, workers)
 	if err != nil {
 		return err
 	}
 	defer st.Close()
-	resumed := st.Len()
-	var done, total atomic.Int64
-	mr.startSampling()
-	mr.startLive(live, func() string {
-		return fmt.Sprintf("fleet: %d/%d items", done.Load(), total.Load())
-	})
-	err = fleet.RunShard(plan, st, workers, func(d, t int) {
-		done.Store(int64(d))
-		total.Store(int64(t))
-	})
-	mr.stopLive()
-	if err != nil {
-		return err
-	}
 	items := plan.ShardItems()
 	fmt.Fprintf(w, "fleet: seed=%d n=%d shards=%d shard=%d items=%d resumed=%d\n",
 		plan.Seed, plan.N, plan.Shards, plan.Shard, len(items), resumed)
@@ -206,24 +192,36 @@ func twinResults(mr *mrun, live bool, storeGlob string, seed uint64, n, workers 
 		return nil, "", err
 	}
 	defer os.RemoveAll(dir)
-	st, err := fleet.Open(filepath.Join(dir, "inline.jsonl"))
+	plan := fleet.Plan{Seed: seed, N: n}
+	st, _, err := measureShard(mr, live, "twin: %d/%d scenarios", plan, filepath.Join(dir, "inline.jsonl"), workers)
 	if err != nil {
 		return nil, "", err
 	}
 	defer st.Close()
-	plan := fleet.Plan{Seed: seed, N: n}
+	return st.Results(), fmt.Sprintf("seed=%d n=%d", seed, n), nil
+}
+
+// measureShard measures plan's shard into the JSONL store at path, skipping
+// the items the store already holds (resumed counts them). mr samples
+// memory meanwhile; with live, stderr shows status formatted with the done
+// and total item counts. The caller closes the store.
+func measureShard(mr *mrun, live bool, status string, plan fleet.Plan, path string, workers int) (st *fleet.Store, resumed int, err error) {
+	st, err = fleet.Open(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	resumed = st.Len()
 	var done, total atomic.Int64
 	mr.startSampling()
-	mr.startLive(live, func() string {
-		return fmt.Sprintf("twin: %d/%d scenarios", done.Load(), total.Load())
-	})
+	mr.startLive(live, func() string { return fmt.Sprintf(status, done.Load(), total.Load()) })
 	err = fleet.RunShard(plan, st, workers, func(d, t int) {
 		done.Store(int64(d))
 		total.Store(int64(t))
 	})
 	mr.stopLive()
 	if err != nil {
-		return nil, "", err
+		st.Close()
+		return nil, 0, err
 	}
-	return st.Results(), fmt.Sprintf("seed=%d n=%d", seed, n), nil
+	return st, resumed, nil
 }

@@ -35,8 +35,9 @@ type Assignment struct {
 	Holders [][]int
 }
 
-// FromOwned builds an assignment from per-processor column lists, sorting
-// and validating as it goes.
+// FromOwned builds an assignment from per-processor column lists, copying
+// each list (owned is left as it is), sorting the copies that are not
+// already sorted and validating as it goes.
 func FromOwned(hostN, columns int, owned [][]int) (*Assignment, error) {
 	if len(owned) != hostN {
 		return nil, fmt.Errorf("assign: owned has %d entries for %d hosts", len(owned), hostN)
@@ -45,7 +46,9 @@ func FromOwned(hostN, columns int, owned [][]int) (*Assignment, error) {
 	a.Holders = make([][]int, columns)
 	for p, cols := range owned {
 		cs := append([]int(nil), cols...)
-		sort.Ints(cs)
+		if !slices.IsSorted(cs) {
+			slices.Sort(cs)
+		}
 		for i, c := range cs {
 			if c < 0 || c >= columns {
 				return nil, fmt.Errorf("assign: host %d owns column %d out of range [0,%d)", p, c, columns)
@@ -275,21 +278,30 @@ func overlapSpan(t *tree.Tree, span unitSpan) (*Assignment, error) {
 		return nil, fmt.Errorf("assign: tree has no live processors")
 	}
 	m := nUnits * span.B
+	total := 0
+	for _, us := range units {
+		for _, u := range us {
+			lo, hi := span.columns(u, m)
+			total += hi - lo
+		}
+	}
 	owned := make([][]int, t.N)
-	var cols []int // scratch: p's unit ranges, overlaps included
+	flat := make([]int, 0, total) // every host's unit ranges back to back, overlaps included
 	for p, us := range units {
-		cols = cols[:0]
+		start := len(flat)
 		for _, u := range us {
 			lo, hi := span.columns(u, m)
 			for c := lo; c < hi; c++ {
-				cols = append(cols, c)
+				flat = append(flat, c)
 			}
 		}
-		if len(cols) > 0 {
-			slices.Sort(cols)
-			owned[p] = slices.Clone(slices.Compact(cols))
-		}
+		cols := flat[start:]
+		slices.Sort(cols)
+		cols = slices.Compact(cols)
+		flat = flat[:start+len(cols)]
+		owned[p] = cols
 	}
+	// FromOwned copies every list, so owned may share flat's memory.
 	return FromOwned(t.N, m, owned)
 }
 

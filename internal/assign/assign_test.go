@@ -2,6 +2,7 @@ package assign
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -19,9 +20,14 @@ func unitLine(n int) []int {
 }
 
 func TestFromOwnedBasics(t *testing.T) {
-	a, err := FromOwned(3, 4, [][]int{{0, 1}, {1, 2}, {3}})
+	owned := [][]int{{1, 0}, {1, 2}, {3}}
+	a, err := FromOwned(3, 4, owned)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// An unsorted list is sorted in a copy; the input stays as it was.
+	if !slices.Equal(a.Owned[0], []int{0, 1}) || !slices.Equal(owned[0], []int{1, 0}) {
+		t.Fatalf("owned %v from input %v", a.Owned[0], owned[0])
 	}
 	if a.Load() != 2 || a.MaxCopies() != 2 || a.TotalReplicas() != 5 {
 		t.Fatalf("%+v", a)
@@ -46,6 +52,9 @@ func TestFromOwnedErrors(t *testing.T) {
 	}
 	if _, err := FromOwned(1, 2, [][]int{{0, 0}}); err == nil {
 		t.Fatal("duplicate column accepted")
+	}
+	if _, err := FromOwned(1, 2, [][]int{{1, 0, 1}}); err == nil {
+		t.Fatal("duplicate column in an unsorted list accepted")
 	}
 	if _, err := FromOwned(1, 2, [][]int{{0}}); err == nil {
 		t.Fatal("uncovered column accepted")

@@ -77,20 +77,17 @@ func All() []*Experiment {
 	return out
 }
 
-// RunAll executes every experiment at the given scale and renders the
-// tables to w (markdown if md is true). It keeps going past individual
-// failures and returns the first error at the end. Experiments run
-// concurrently on up to GOMAXPROCS workers; output stays byte-identical to
-// a sequential run because each experiment renders into its own buffer and
-// the buffers are flushed in registry (ID) order.
-func RunAll(w io.Writer, scale Scale, md bool) error {
-	return RunAllWorkers(w, scale, md, 0)
+// Result is one experiment's outcome from Run.
+type Result struct {
+	Exp    *Experiment
+	Tables []*metrics.Table
+	Err    error // the experiment's error or recovered panic; nil on success
+	Wall   time.Duration
 }
 
 // runOne executes one experiment, converting a panic into that experiment's
 // error (with the stack) so a bug in one experiment cannot take down the
-// whole harness — or, under RunAllWorkers, the goroutines running its
-// concurrent siblings.
+// whole harness or the goroutines running its concurrent siblings.
 func runOne(e *Experiment, scale Scale) (tables []*metrics.Table, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -100,97 +97,77 @@ func runOne(e *Experiment, scale Scale) (tables []*metrics.Table, err error) {
 	return e.Run(scale)
 }
 
-// Timing is one experiment's wall-clock cost from a timed harness run.
-type Timing struct {
-	ID   string
-	Wall time.Duration
-}
-
-// RunAllWorkers is RunAll with an explicit concurrency bound; workers <= 0
-// means GOMAXPROCS, 1 runs strictly sequentially.
-func RunAllWorkers(w io.Writer, scale Scale, md bool, workers int) error {
-	_, err := RunAllTimed(w, scale, md, workers, nil)
-	return err
-}
-
-// RunAllTimed is RunAllWorkers returning per-experiment wall timings (in ID
-// order) and reporting progress: after each experiment finishes, progress is
-// called with the completion count, the total, and the experiment's ID.
-// progress may be called from multiple goroutines concurrently; nil disables
-// it.
-func RunAllTimed(w io.Writer, scale Scale, md bool, workers int, progress func(done, total int, id string)) ([]Timing, error) {
-	exps := All()
+// Run executes exps at the given scale on up to workers goroutines
+// (workers <= 0 means GOMAXPROCS, 1 runs strictly sequentially) and returns
+// their results in list order, so what a caller renders from them does not
+// depend on the worker count. It keeps going past failed experiments. After
+// each experiment finishes, progress (nil disables it) is called with the
+// completion count, the total and the experiment's ID, possibly from
+// several goroutines at once.
+func Run(exps []*Experiment, scale Scale, workers int, progress func(done, total int, id string)) []Result {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(exps) {
-		workers = len(exps)
-	}
-
-	type result struct {
-		buf  bytes.Buffer
-		err  error // already wrapped with the experiment ID
-		wall time.Duration
-	}
-	results := make([]result, len(exps))
-	var doneCount atomic.Int64
-	renderOne := func(i int) {
-		e, out := exps[i], &results[i]
+	workers = min(workers, len(exps))
+	results := make([]Result, len(exps))
+	var done atomic.Int64
+	runAt := func(i int) {
+		e, r := exps[i], &results[i]
 		start := time.Now()
-		fmt.Fprintf(&out.buf, "\n=== %s: %s (%s) ===\n\n", e.ID, e.Title, e.Paper)
-		tables, err := runOne(e, scale)
-		if err != nil {
-			fmt.Fprintf(&out.buf, "FAILED: %v\n", err)
-			out.err = fmt.Errorf("%s: %w", e.ID, err)
-		} else {
-			for _, t := range tables {
-				if md {
-					t.Markdown(&out.buf)
-				} else {
-					t.Fprint(&out.buf)
-					fmt.Fprintln(&out.buf)
-				}
+		r.Exp = e
+		r.Tables, r.Err = runOne(e, scale)
+		r.Wall = time.Since(start)
+		if progress != nil {
+			progress(int(done.Add(1)), len(exps), e.ID)
+		}
+	}
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for k := 0; k < workers; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				runAt(i)
+			}
+		}()
+	}
+	for i := range exps {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	return results
+}
+
+// Write renders results to w in order, each under an "=== ID: title
+// (paper) ===" header, as markdown tables if md is true; a failed
+// experiment renders its error in place of its tables. It returns the first
+// experiment error, wrapped with the experiment's ID, or a write error.
+func Write(w io.Writer, results []Result, md bool) error {
+	var buf bytes.Buffer
+	var firstErr error
+	for _, r := range results {
+		e := r.Exp
+		fmt.Fprintf(&buf, "\n=== %s: %s (%s) ===\n\n", e.ID, e.Title, e.Paper)
+		if r.Err != nil {
+			fmt.Fprintf(&buf, "FAILED: %v\n", r.Err)
+			if firstErr == nil {
+				firstErr = fmt.Errorf("%s: %w", e.ID, r.Err)
+			}
+			continue
+		}
+		for _, t := range r.Tables {
+			if md {
+				t.Markdown(&buf)
+			} else {
+				t.Fprint(&buf)
+				fmt.Fprintln(&buf)
 			}
 		}
-		out.wall = time.Since(start)
-		if progress != nil {
-			progress(int(doneCount.Add(1)), len(exps), e.ID)
-		}
 	}
-
-	if workers == 1 {
-		for i := range exps {
-			renderOne(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for k := 0; k < workers; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					renderOne(i)
-				}
-			}()
-		}
-		for i := range exps {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
+	if _, err := w.Write(buf.Bytes()); err != nil {
+		return err
 	}
-
-	var firstErr error
-	timings := make([]Timing, len(exps))
-	for i := range results {
-		timings[i] = Timing{ID: exps[i].ID, Wall: results[i].wall}
-		if _, err := w.Write(results[i].buf.Bytes()); err != nil {
-			return timings, err
-		}
-		if results[i].err != nil && firstErr == nil {
-			firstErr = results[i].err
-		}
-	}
-	return timings, firstErr
+	return firstErr
 }

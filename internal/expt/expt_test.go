@@ -51,7 +51,7 @@ func TestRunAllQuick(t *testing.T) {
 		t.Skip("short mode")
 	}
 	var buf bytes.Buffer
-	if err := RunAll(&buf, Quick, false); err != nil {
+	if err := Write(&buf, Run(All(), Quick, 0, nil), false); err != nil {
 		t.Fatalf("%v\noutput:\n%s", err, buf.String())
 	}
 	out := buf.String()
@@ -73,10 +73,10 @@ func TestRunAllParallelOutputIdentical(t *testing.T) {
 		t.Skip("short mode")
 	}
 	var seq bytes.Buffer
-	seqErr := RunAllWorkers(&seq, Quick, true, 1)
+	seqErr := Write(&seq, Run(All(), Quick, 1, nil), true)
 	for _, workers := range []int{0, 2, 4} {
 		var par bytes.Buffer
-		parErr := RunAllWorkers(&par, Quick, true, workers)
+		parErr := Write(&par, Run(All(), Quick, workers, nil), true)
 		if (seqErr == nil) != (parErr == nil) {
 			t.Fatalf("workers=%d: error mismatch: seq=%v par=%v", workers, seqErr, parErr)
 		}
@@ -374,7 +374,7 @@ func TestRunAllIsolatesPanics(t *testing.T) {
 	})
 	defer delete(registry, id)
 	var buf bytes.Buffer
-	err := RunAllWorkers(&buf, Quick, false, 4)
+	err := Write(&buf, Run(All(), Quick, 4, nil), false)
 	if err == nil || !strings.Contains(err.Error(), "E99") || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("panic not reported as E99's error: %v", err)
 	}

@@ -16,8 +16,6 @@ type Options struct {
 	// Steps is the number of guest steps; must be >= 1.
 	Steps int
 	Seed  int64
-	// C is the interval-tree constant; zero means 4.
-	C int
 	// SlotsPerUnit is how many layout slots each tree unit covers; zero
 	// means ceil(guestNodes / n') so the whole guest fits.
 	SlotsPerUnit int
@@ -54,11 +52,7 @@ func Simulate(g guest.Graph, l *Layout, delays []int, opt Options) (*Result, err
 	if opt.Steps < 1 {
 		return nil, fmt.Errorf("layout: steps %d < 1", opt.Steps)
 	}
-	c := opt.C
-	if c == 0 {
-		c = 4
-	}
-	tr := tree.Build(delays, c)
+	tr := tree.Build(delays, 4)
 	if err := tr.CheckLemmas(); err != nil {
 		return nil, err
 	}

@@ -31,8 +31,6 @@ type Options struct {
 	Rows  int // guest mesh height (pebbles per column)
 	Steps int
 	Seed  int64
-	// C is the tree constant for OnNOW; zero means 4.
-	C int
 	// ColsPerUnit is the number of mesh columns per tree unit in OnNOW;
 	// zero means 1.
 	ColsPerUnit int
@@ -125,10 +123,6 @@ func OnNOW(g *network.Network, opt Options) (*Result, error) {
 
 // OnLine is OnNOW for a host that is already a line with the given delays.
 func OnLine(delays []int, opt Options) (*Result, error) {
-	c := opt.C
-	if c == 0 {
-		c = 4
-	}
 	cpu := opt.ColsPerUnit
 	if cpu == 0 {
 		cpu = 1
@@ -136,7 +130,7 @@ func OnLine(delays []int, opt Options) (*Result, error) {
 	if opt.Rows < 1 {
 		return nil, fmt.Errorf("mesharray: rows %d < 1", opt.Rows)
 	}
-	t := tree.Build(delays, c)
+	t := tree.Build(delays, 4)
 	if err := t.CheckLemmas(); err != nil {
 		return nil, err
 	}

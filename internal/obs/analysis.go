@@ -299,13 +299,14 @@ func (a *Analysis) StallSpans() []Event {
 // of: busy (computed a pebble), idle (no work left), dependency-stalled,
 // bandwidth-stalled or fault-stalled.
 // Busy + Idle + Dependency + Bandwidth + Fault == ProcSteps.
+// The JSON tags are the run manifest's stalls section.
 type StallBreakdown struct {
-	ProcSteps  int64 // HostN x HostSteps
-	Busy       int64
-	Idle       int64
-	Dependency int64
-	Bandwidth  int64
-	Fault      int64
+	ProcSteps  int64 `json:"proc_steps"` // HostN x HostSteps
+	Busy       int64 `json:"busy"`
+	Idle       int64 `json:"idle"`
+	Dependency int64 `json:"dependency"`
+	Bandwidth  int64 `json:"bandwidth"`
+	Fault      int64 `json:"fault,omitempty"`
 }
 
 // Stalled is the total stalled processor-steps.

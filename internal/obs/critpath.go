@@ -11,24 +11,25 @@ type CritNode struct {
 // CriticalPath is the longest compute -> message -> compute dependency chain
 // ending at the run's last compute, with its length decomposed into where
 // the steps went. Compute + Transit + Queue + Wait == Length always, so the
-// shares tile to 1.
+// shares tile to 1. The JSON tags are the run manifest's critical_path
+// section.
 type CriticalPath struct {
 	// Nodes is the chain in execution order (guest step 1 first).
-	Nodes []CritNode
+	Nodes []CritNode `json:"-"`
 	// Length is the host step of the chain's last compute (== the run
 	// length when the chain ends at the final compute).
-	Length int64
+	Length int64 `json:"length"`
 	// Compute: steps spent computing chain pebbles (one per node).
-	Compute int64
+	Compute int64 `json:"compute"`
 	// Transit: steps chain values spent crossing links (pure wire delay).
-	Transit int64
+	Transit int64 `json:"transit"`
 	// Queue: steps chain values spent waiting in link injection queues
 	// (bandwidth contention).
-	Queue int64
+	Queue int64 `json:"queue"`
 	// Wait: remaining steps — a chain value was available but its consumer
 	// computed later (local scheduling: compute-per-step contention or the
 	// greedy order picking other pebbles first).
-	Wait int64
+	Wait int64 `json:"wait"`
 }
 
 // share returns x/Length, or 0 for an empty path.

@@ -1,7 +1,6 @@
 package obs_test
 
 import (
-	"bytes"
 	"encoding/json"
 	"math/rand"
 	"os"
@@ -240,28 +239,54 @@ func TestMergeCanonical(t *testing.T) {
 	}
 }
 
-// Summarize must agree with the individual instruments and survive a JSON
-// round trip.
+// The stall tiling and the critical path are the run manifest's summary of
+// a recorded run: they must tile and survive a JSON round trip under the
+// manifest's keys, without the chain's nodes.
 func TestSummaryJSON(t *testing.T) {
 	events, info, res := recordedRun(t, 8, 12, 8, 2, 2)
 	a := obs.Analyze(events, info)
-	s := a.Summarize()
-	if s.HostSteps != res.HostSteps || s.Events != len(events) {
-		t.Fatalf("summary %+v vs result %+v", s, res)
+	sb, cp := a.Stalls(), a.CriticalPath()
+	if sb.ProcSteps != int64(info.HostN)*res.HostSteps ||
+		sb.Busy+sb.Idle+sb.Dependency+sb.Bandwidth+sb.Fault != sb.ProcSteps {
+		t.Fatalf("stall breakdown does not tile: %+v (host steps %d)", sb, res.HostSteps)
 	}
-	if s.BusySteps+s.IdleSteps+s.DependencySteps+s.BandwidthSteps != s.ProcSteps {
-		t.Fatalf("summary breakdown does not tile: %+v", s)
+	if len(cp.Nodes) == 0 || cp.Compute+cp.Transit+cp.Queue+cp.Wait != cp.Length {
+		t.Fatalf("critical path does not tile: %+v", cp)
 	}
-	var out bytes.Buffer
-	if err := s.WriteJSON(&out); err != nil {
+	raw, err := json.Marshal(struct {
+		Stalls       obs.StallBreakdown `json:"stalls"`
+		CriticalPath *obs.CriticalPath  `json:"critical_path"`
+	}{sb, cp})
+	if err != nil {
 		t.Fatal(err)
 	}
-	var back obs.Summary
-	if err := json.Unmarshal(out.Bytes(), &back); err != nil {
+	var keys map[string]map[string]any
+	if err := json.Unmarshal(raw, &keys); err != nil {
 		t.Fatal(err)
 	}
-	if back.HostSteps != s.HostSteps || len(back.Links) != len(s.Links) {
-		t.Fatalf("round trip mismatch: %+v vs %+v", back, s)
+	for _, k := range []string{"proc_steps", "busy", "idle", "dependency", "bandwidth"} {
+		if _, ok := keys["stalls"][k]; !ok {
+			t.Errorf("stalls JSON %s lacks %q", raw, k)
+		}
+	}
+	for _, k := range []string{"length", "compute", "transit", "queue", "wait"} {
+		if _, ok := keys["critical_path"][k]; !ok {
+			t.Errorf("critical_path JSON %s lacks %q", raw, k)
+		}
+	}
+	if len(keys["critical_path"]) != 5 {
+		t.Errorf("critical_path JSON carries more than its five legs: %s", raw)
+	}
+	var back struct {
+		Stalls       obs.StallBreakdown `json:"stalls"`
+		CriticalPath obs.CriticalPath   `json:"critical_path"`
+	}
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatal(err)
+	}
+	if got := back.CriticalPath; back.Stalls != sb || got.Nodes != nil || got.Length != cp.Length ||
+		got.Compute != cp.Compute || got.Transit != cp.Transit || got.Queue != cp.Queue || got.Wait != cp.Wait {
+		t.Fatalf("round trip mismatch: %+v %+v vs %+v %+v", back.Stalls, got, sb, cp)
 	}
 }
 
@@ -281,5 +306,4 @@ func TestEmptyStream(t *testing.T) {
 	}
 	a.Heatmap(8)
 	a.LinkGauges()
-	a.Summarize()
 }

@@ -62,8 +62,6 @@ func (v Variant) String() string {
 // with paper defaults (c = 4, bandwidth log n).
 type Options struct {
 	Variant Variant
-	// C is the tree constant; must be > 2. Zero means 4.
-	C int
 	// Beta is the database block size for WorkEfficient and TwoLevel.
 	// Zero means a scaled default (see DefaultBeta); ignored for LoadOne.
 	Beta int
@@ -74,14 +72,11 @@ type Options struct {
 	Steps int
 	// Seed drives all guest state.
 	Seed int64
-	// Bandwidth, ComputePerStep, Workers, Check, MaxSteps and Recorder
-	// pass through to the engine.
-	Bandwidth      int
-	ComputePerStep int
-	Workers        int
-	Check          bool
-	MaxSteps       int64
-	Recorder       *obs.Buffer
+	// Bandwidth, Workers, Check and Recorder pass through to the engine.
+	Bandwidth int
+	Workers   int
+	Check     bool
+	Recorder  *obs.Buffer
 	// Faults passes a deterministic fault plan through to the engine
 	// (internal/fault); nil is a true no-op.
 	Faults *fault.Plan
@@ -108,13 +103,6 @@ type Options struct {
 	// the whole host line, which costs at most one extra crossing per
 	// round and in practice stays within the same bounds.
 	Ring bool
-}
-
-func (o *Options) c() int {
-	if o.C == 0 {
-		return 4
-	}
-	return o.C
 }
 
 // DefaultBeta returns the paper's block size d_ave * log^3 n, clamped to
@@ -174,11 +162,8 @@ type Outcome struct {
 // SimulateLine runs OVERLAP on a host that is already a linear array with
 // the given link delays.
 func SimulateLine(delays []int, opt Options) (*Outcome, error) {
-	if opt.C != 0 && opt.C <= 2 {
-		return nil, fmt.Errorf("overlap: constant c=%d must be > 2 (Section 3.2 remark)", opt.C)
-	}
 	n := len(delays) + 1
-	t := tree.Build(delays, opt.c())
+	t := tree.Build(delays, 4)
 	if err := t.CheckLemmas(); err != nil {
 		return nil, err
 	}
@@ -241,7 +226,7 @@ func SimulateLine(delays []int, opt Options) (*Outcome, error) {
 
 	steps := opt.Steps
 	if steps == 0 {
-		steps = n / (opt.c() * t.LogN)
+		steps = n / (4 * t.LogN)
 		if steps < 1 {
 			steps = 1
 		}
@@ -275,16 +260,14 @@ func SimulateLine(delays []int, opt Options) (*Outcome, error) {
 			Op:          opt.Op,
 			Init:        opt.Init,
 		},
-		Assign:         a,
-		Bandwidth:      opt.Bandwidth,
-		ComputePerStep: opt.ComputePerStep,
-		Workers:        opt.Workers,
-		Check:          opt.Check,
-		MaxSteps:       opt.MaxSteps,
-		Recorder:       opt.Recorder,
-		Faults:         opt.Faults,
-		Adapt:          opt.Adapt,
-		Telemetry:      opt.Telemetry,
+		Assign:    a,
+		Bandwidth: opt.Bandwidth,
+		Workers:   opt.Workers,
+		Check:     opt.Check,
+		Recorder:  opt.Recorder,
+		Faults:    opt.Faults,
+		Adapt:     opt.Adapt,
+		Telemetry: opt.Telemetry,
 	}
 	res, err := sim.Run(cfg)
 	if err != nil {

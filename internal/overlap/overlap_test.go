@@ -75,9 +75,6 @@ func TestLoadMatchesTheorems(t *testing.T) {
 
 func TestBadOptions(t *testing.T) {
 	delays := bimodalLine(64, 16, 1)
-	if _, err := SimulateLine(delays, Options{C: 2}); err == nil {
-		t.Fatal("c=2 accepted")
-	}
 	if _, err := SimulateLine(delays, Options{Variant: Variant(42)}); err == nil {
 		t.Fatal("unknown variant accepted")
 	}

@@ -11,13 +11,14 @@ import (
 	"time"
 )
 
-// The parallel engine (v2) is a conservative parallel discrete-event
-// simulator: the host line is split into contiguous chunks, one goroutine
-// each, with lookahead equal to the boundary link delay. A chunk whose
-// clock is at step s cannot send anything that arrives before s + d_boundary,
-// so its neighbor may safely simulate up to that horizon.
+// The parallel engine is a conservative parallel discrete-event simulator:
+// the host line is split into contiguous chunks, one goroutine each, with
+// lookahead equal to the boundary link delay. A chunk whose clock is at
+// step s cannot send anything that arrives before s + d_boundary, so its
+// neighbor may safely simulate up to that horizon.
 //
-// v2 replaces v1's per-slice channel protocol with four mechanisms:
+// Four mechanisms keep the chunks busy without a channel operation on the
+// hot path:
 //
 //   - Work-balanced cuts: splitPositionsWork places cut i at the i-th work
 //     quantile of the per-host pebble counts (not the i-th host quantile),

@@ -7,23 +7,14 @@ import (
 	"hash/fnv"
 	"os"
 	"strings"
+
+	"latencyhide/internal/obs"
 )
 
 // ManifestSchema identifies the manifest format; bump the suffix on
 // incompatible changes so downstream tooling (sweep result stores,
 // `latencysim manifest -check`) can dispatch.
 const ManifestSchema = "latencyhide/run-manifest/v1"
-
-// StallSummary is the stall-cause tiling of a recorded run (see
-// obs.StallBreakdown): every processor-step attributed to exactly one cause.
-type StallSummary struct {
-	ProcSteps  int64 `json:"proc_steps"`
-	Busy       int64 `json:"busy"`
-	Idle       int64 `json:"idle"`
-	Dependency int64 `json:"dependency"`
-	Bandwidth  int64 `json:"bandwidth"`
-	Fault      int64 `json:"fault,omitempty"`
-}
 
 // SweepPoint is one row of a sweep manifest.
 type SweepPoint struct {
@@ -102,8 +93,9 @@ type Work struct {
 // RunManifest is the machine-readable record of one latencysim invocation:
 // what ran (config hash + scenario spec), on which engine, how long it took,
 // the engine's deterministic work (run only), what the engine's telemetry
-// registry measured, how memory evolved, and where the time went (stall
-// tiling). `latencysim run|sweep|exp|verify|twin -manifest-out` emit it;
+// registry measured, how memory evolved, and where the time went (run only:
+// the stall tiling and the critical path, the two views that tell the
+// Theorem 2 bound's latency term from its bandwidth term). `latencysim run|sweep|exp|verify|twin -manifest-out` emit it;
 // `latencysim manifest -check` validates it; fleet sweeps record their shard
 // plan and store path in the Fleet section and twin reports their
 // per-theorem scores in the Twin section.
@@ -132,7 +124,8 @@ type RunManifest struct {
 
 	MemSeries []MemSample `json:"mem_series,omitempty"`
 
-	Stalls *StallSummary `json:"stalls,omitempty"`
+	Stalls       *obs.StallBreakdown `json:"stalls,omitempty"`
+	CriticalPath *obs.CriticalPath   `json:"critical_path,omitempty"`
 
 	Sweep       []SweepPoint   `json:"sweep,omitempty"`
 	Experiments []ExpTiming    `json:"experiments,omitempty"`
@@ -199,10 +192,12 @@ func LoadManifest(path string) (*RunManifest, error) {
 }
 
 // Validate checks the manifest's structural contract: correct schema id, a
-// known command, and, for a run, nonzero run figures, the work section and
-// the engine's progress counter. Parallel runs must additionally carry SPSC
-// ring occupancy and published-clock lag; the sequential engine has no
-// boundary rings, so those are exempt.
+// known command, and, for a run, nonzero run figures, the work section, the
+// engine's progress counter, and stall and critical-path sections that tile
+// as package obs documents (busy+idle+dependency+bandwidth+fault ==
+// proc_steps, compute+transit+queue+wait == length). Parallel runs must
+// additionally carry SPSC ring occupancy and published-clock lag; the
+// sequential engine has no boundary rings, so those are exempt.
 func (m *RunManifest) Validate() error {
 	var errs []string
 	fail := func(format string, args ...any) { errs = append(errs, fmt.Sprintf(format, args...)) }
@@ -243,6 +238,16 @@ func (m *RunManifest) Validate() error {
 			if m.Work.RouteBytes <= 0 {
 				fail("work route_bytes must be > 0")
 			}
+		}
+		if s := m.Stalls; s == nil {
+			fail("missing stalls section")
+		} else if sum := s.Busy + s.Idle + s.Dependency + s.Bandwidth + s.Fault; sum != s.ProcSteps {
+			fail("stalls busy+idle+dependency+bandwidth+fault = %d != proc_steps %d", sum, s.ProcSteps)
+		}
+		if cp := m.CriticalPath; cp == nil {
+			fail("missing critical_path section")
+		} else if sum := cp.Compute + cp.Transit + cp.Queue + cp.Wait; sum != cp.Length {
+			fail("critical_path compute+transit+queue+wait = %d != length %d", sum, cp.Length)
 		}
 		if m.Metrics == nil {
 			fail("missing metrics snapshot")

@@ -3,10 +3,13 @@ package telemetry
 import (
 	"bytes"
 	"flag"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"latencyhide/internal/obs"
 )
 
 func TestRegistryMerge(t *testing.T) {
@@ -178,6 +181,8 @@ func TestManifestRoundTripAndValidate(t *testing.T) {
 		BytesPerPebble: 24.5,
 		Work:           work,
 		Metrics:        snap,
+		Stalls:         &obs.StallBreakdown{ProcSteps: 1600, Busy: 1000, Idle: 300, Dependency: 200, Bandwidth: 100},
+		CriticalPath:   &obs.CriticalPath{Length: 40, Compute: 10, Transit: 20, Queue: 4, Wait: 6},
 	}
 	if err := m.WriteFile(path); err != nil {
 		t.Fatal(err)
@@ -194,6 +199,12 @@ func TestManifestRoundTripAndValidate(t *testing.T) {
 	}
 	if got.Metrics == nil || got.Metrics.Counters != snap.Counters || got.Metrics.Gauges != snap.Gauges {
 		t.Errorf("metrics section round-tripped to %+v, want %+v", got.Metrics, snap)
+	}
+	if got.Stalls == nil || *got.Stalls != *m.Stalls {
+		t.Errorf("stalls section round-tripped to %+v, want %+v", got.Stalls, m.Stalls)
+	}
+	if got.CriticalPath == nil || !reflect.DeepEqual(got.CriticalPath, m.CriticalPath) {
+		t.Errorf("critical_path section round-tripped to %+v, want %+v", got.CriticalPath, m.CriticalPath)
 	}
 	if err := got.Validate(); err != nil {
 		t.Errorf("valid manifest rejected: %v", err)
@@ -213,8 +224,8 @@ func TestManifestRoundTripAndValidate(t *testing.T) {
 	if err := seq.Validate(); err != nil {
 		t.Errorf("sequential manifest rejected: %v", err)
 	}
-	// Every run reports its progress counter and its work section, with
-	// both memory footprints.
+	// Every run reports its progress counter, its work section with both
+	// memory footprints, and stall and critical-path sections that tile.
 	for _, c := range []struct {
 		name string
 		edit func(*RunManifest)
@@ -223,6 +234,10 @@ func TestManifestRoundTripAndValidate(t *testing.T) {
 		{"missing work section", func(m *RunManifest) { m.Work = nil }},
 		{"know_ring_bytes_peak", func(m *RunManifest) { m.Work = &Work{RouteBytes: 512} }},
 		{"route_bytes", func(m *RunManifest) { m.Work = &Work{KnowRingBytesPeak: 2048} }},
+		{"missing stalls section", func(m *RunManifest) { m.Stalls = nil }},
+		{"proc_steps", func(m *RunManifest) { m.Stalls = &obs.StallBreakdown{ProcSteps: 1600, Busy: 1000, Idle: 300} }},
+		{"missing critical_path section", func(m *RunManifest) { m.CriticalPath = nil }},
+		{"length", func(m *RunManifest) { m.CriticalPath = &obs.CriticalPath{Length: 40, Compute: 10, Transit: 20} }},
 	} {
 		bad := seq
 		c.edit(&bad)
