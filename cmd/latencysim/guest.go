@@ -18,7 +18,7 @@ func cmdGuest(args []string) error {
 	steps := fs.Int("steps", 8, "guest steps")
 	lay := fs.String("layout", "auto", "layout: auto|bfs|identity|bisection|anneal")
 	check := fs.Bool("check", false, "verify against the reference executor")
-	workers := fs.Int("workers", 0, "parallel engine chunks")
+	workers := fs.Int("workers", 0, "engine chunks, one goroutine each (0 and 1 both mean one chunk)")
 	fs.Parse(args)
 
 	var g guest.Graph

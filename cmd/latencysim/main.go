@@ -293,7 +293,7 @@ func cmdRun(args []string) error {
 	steps := fs.Int("steps", 64, "guest steps")
 	beta := fs.Int("beta", 0, "database block size (0 = default)")
 	bw := fs.Int("bw", 0, "link bandwidth in pebbles/step (0 = log n)")
-	workers := fs.Int("workers", 0, "parallel engine chunks (0 = sequential)")
+	workers := fs.Int("workers", 0, "engine chunks, one goroutine each (0 and 1 both mean one chunk)")
 	check := fs.Bool("check", false, "verify replica digests against the reference executor")
 	seed := fs.Int64("guestseed", 7, "guest computation seed")
 	trace := fs.Bool("trace", false, "print the stall-cause, critical-path and busiest-link tables and the compute heatmap")

@@ -224,57 +224,60 @@ func TestSubcommandSmoke(t *testing.T) {
 
 // run -trace-out must emit a structurally valid Chrome trace-event file,
 // -links-csv the link gauges as CSV, and -manifest-out a manifest whose
-// stalls and critical_path sections tile.
+// stalls and critical_path sections tile, on one chunk and on two.
 func TestRunTraceExports(t *testing.T) {
 	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "trace.json")
-	csvPath := filepath.Join(dir, "links.csv")
-	manifestPath := filepath.Join(dir, "m.json")
-	err := cmdRun([]string{
-		"-host", "random", "-n", "64", "-steps", "8", "-trace",
-		"-trace-out", tracePath, "-links-csv", csvPath, "-manifest-out", manifestPath,
-	})
-	if err != nil {
-		t.Fatalf("run -trace: %v", err)
-	}
-	raw, err := os.ReadFile(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []map[string]interface{} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("chrome trace not valid JSON: %v", err)
-	}
-	if len(doc.TraceEvents) == 0 {
-		t.Fatal("chrome trace has no events")
-	}
-	for _, field := range []string{"ph", "ts", "pid", "tid"} {
-		if _, ok := doc.TraceEvents[0][field]; !ok {
-			t.Fatalf("chrome event missing %q: %v", field, doc.TraceEvents[0])
+	for _, workers := range []string{"0", "2"} {
+		tracePath := filepath.Join(dir, "trace"+workers+".json")
+		csvPath := filepath.Join(dir, "links"+workers+".csv")
+		manifestPath := filepath.Join(dir, "m"+workers+".json")
+		err := cmdRun([]string{
+			"-host", "random", "-n", "64", "-steps", "8", "-trace", "-workers", workers,
+			"-trace-out", tracePath, "-links-csv", csvPath, "-manifest-out", manifestPath,
+		})
+		if err != nil {
+			t.Fatalf("run -trace -workers %s: %v", workers, err)
+		}
+		raw, err := os.ReadFile(tracePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			TraceEvents []map[string]interface{} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatalf("-workers %s: chrome trace not valid JSON: %v", workers, err)
+		}
+		if len(doc.TraceEvents) == 0 {
+			t.Fatalf("-workers %s: chrome trace has no events", workers)
+		}
+		for _, field := range []string{"ph", "ts", "pid", "tid"} {
+			if _, ok := doc.TraceEvents[0][field]; !ok {
+				t.Fatalf("-workers %s: chrome event missing %q: %v", workers, field, doc.TraceEvents[0])
+			}
+		}
+		csvRaw, err := os.ReadFile(csvPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(csvRaw)), "\n")
+		if len(lines) < 2 || !strings.HasPrefix(lines[0], "link,dir,") {
+			t.Fatalf("-workers %s: links CSV malformed: %q", workers, lines[0])
+		}
+		m, err := telemetry.LoadManifest(manifestPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Stalls == nil || m.CriticalPath == nil || m.CriticalPath.Length <= 0 {
+			t.Fatalf("-workers %s: manifest lacks its stalls or critical_path section: %+v, %+v",
+				workers, m.Stalls, m.CriticalPath)
+		}
+		if err := m.Validate(); err != nil {
+			t.Fatalf("-workers %s: manifest fails its own contract: %v", workers, err)
 		}
 	}
-	csvRaw, err := os.ReadFile(csvPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(csvRaw)), "\n")
-	if len(lines) < 2 || !strings.HasPrefix(lines[0], "link,dir,") {
-		t.Fatalf("links CSV malformed: %q", lines[0])
-	}
-	m, err := telemetry.LoadManifest(manifestPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Stalls == nil || m.CriticalPath == nil || m.CriticalPath.Length <= 0 {
-		t.Fatalf("manifest lacks its stalls or critical_path section: %+v, %+v", m.Stalls, m.CriticalPath)
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatalf("manifest fails its own contract: %v", err)
-	}
 	// An output path in a missing directory fails before the run.
-	err = cmdRun([]string{"-host", "line", "-n", "16", "-links-csv", filepath.Join(dir, "nope", "links.csv")})
+	err := cmdRun([]string{"-host", "line", "-n", "16", "-links-csv", filepath.Join(dir, "nope", "links.csv")})
 	if err == nil || !strings.Contains(err.Error(), "does not exist") {
 		t.Fatalf("run -links-csv into a missing directory: %v", err)
 	}

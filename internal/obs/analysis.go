@@ -84,6 +84,9 @@ type Analysis struct {
 	// messages later delivered to it. Tiling priority: fault > bandwidth >
 	// dependency.
 	faultIv [][]interval
+
+	spans     []Event // StallSpans' result, once spansDone
+	spansDone bool
 }
 
 // Analyze builds the shared analysis structures from a canonical event
@@ -251,7 +254,16 @@ func splitBy(ivs []interval, lo, hi int64, hit, miss func(lo, hi int64)) {
 // inbound traffic up), then bandwidth-stalled sub-spans (a value later
 // delivered here was sitting in an injection queue), then the
 // dependency-stalled remainder. Spans are returned in (step, proc) order.
+// They are derived once per Analysis; callers share the returned slice and
+// must not modify it.
 func (a *Analysis) StallSpans() []Event {
+	if !a.spansDone {
+		a.spans, a.spansDone = a.stallSpans(), true
+	}
+	return a.spans
+}
+
+func (a *Analysis) stallSpans() []Event {
 	var spans []Event
 	emit := func(proc int32, lo, hi int64, cause Cause) {
 		if hi < lo {

@@ -49,7 +49,8 @@ func recordedConfig(seed int64, hostN, steps, bandwidth, cps int) (sim.Config, *
 
 // Property: the stall-cause breakdown tiles the run exactly — busy + idle +
 // dependency + bandwidth processor-steps equal hostN x hostSteps, and the
-// derived stall spans sum to the stalled share.
+// derived stall spans sum to the stalled share. The spans Stalls derived
+// are the ones StallSpans returns: they are built once per Analysis.
 func TestStallBreakdownSumsProperty(t *testing.T) {
 	f := func(seed int64, hostSel, bwSel uint8) bool {
 		hostN := 8 + int(hostSel%4)*4
@@ -62,8 +63,13 @@ func TestStallBreakdownSumsProperty(t *testing.T) {
 				seed, sb.Busy, sb.Idle, sb.Dependency, sb.Bandwidth, sb.ProcSteps)
 			return false
 		}
+		spans := a.StallSpans()
+		if len(spans) > 0 && &spans[0] != &a.StallSpans()[0] {
+			t.Logf("seed %d: StallSpans derived its spans twice", seed)
+			return false
+		}
 		var spanTotal int64
-		for _, s := range a.StallSpans() {
+		for _, s := range spans {
 			if s.Kind != obs.KindStall || s.Dur < 1 {
 				return false
 			}

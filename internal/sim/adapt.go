@@ -31,20 +31,18 @@ import (
 //
 // Determinism: placement is a pure function of static config; blame is a
 // pure function of the (bit-identical) simulation at steps <= E; the
-// candidate order is canonical; and both engines run the controller at the
-// exact same point — the sequential engine when its clock first passes E,
-// the parallel engine in its gate, once every worker waits there with its
-// clock at exactly E+1 (see gate in parallel.go). So adaptive runs stay
-// bit-identical across engines and worker counts.
+// candidate order is canonical; and the controller runs at the exact same
+// point for every chunk count: in the gate, once every worker waits there
+// with its clock at exactly E+1 (see gate in parallel.go). So adaptive runs
+// stay bit-identical across worker counts.
 type adaptState struct {
 	policy    *adapt.Policy
 	placement [][]int      // per column: standby hosts, ascending
 	extraCols [][]int      // per host: standby columns, ascending
 	dead      map[int]bool // crash-stop hosts (excluded from placement)
 
-	// Controller state. Only one goroutine touches it at a time: the
-	// sequential engine inline, the parallel engine's filling gate arrival
-	// with the gate mutex providing the happens-before edges.
+	// Controller state. Only the filling gate arrival touches it, with the
+	// gate mutex providing the happens-before edges.
 	budget    int
 	decisions []adapt.Decision
 }
@@ -71,8 +69,8 @@ func newAdaptState(cfg *Config, crashed []int) *adaptState {
 
 // atBoundary runs the controller at epoch boundary E. Every chunk must
 // have simulated exactly the steps <= E (clock at E+1), so the harvested
-// blame is identical in both engines. Returns the pebbles added to the
-// chunks' remaining counters; the parallel caller mirrors them into its
+// blame is identical for every chunk count. Returns the pebbles added to
+// the chunks' remaining counters; the gate mirrors them into the run's
 // shared counter.
 func (a *adaptState) atBoundary(boundary int64, chunks []*chunk) int64 {
 	var cands []adapt.Candidate
@@ -164,7 +162,7 @@ func (a *adaptState) harvest(c *chunk, boundary int64, cands []adapt.Candidate) 
 // overlapped an injected fault during the epoch (c.epochStart, boundary]:
 // a down, jittery or spiky link between the host and the column's nearest
 // surviving holder, or a slowdown on that holder. Pure plan queries, so
-// both engines agree.
+// every chunk count agrees.
 func (a *adaptState) faultCtx(cfg *Config, host, col int, lo, hi int64) bool {
 	plan := cfg.Faults
 	if plan == nil {

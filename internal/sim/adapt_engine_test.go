@@ -12,14 +12,14 @@ import (
 )
 
 // Bit-identity under the adversarial regimes and the adaptive controller:
-// the sequential engine and the parallel engine at w ∈ {1, 2, 4} must agree
+// one chunk and the driver at w ∈ {1, 2, 4} must agree
 // on the Result and the canonical event stream for every new fault kind,
 // with and without adaptation.
 
 // runEngines mirrors runBoth but sweeps the worker counts 1, 2 and 4. One
-// worker runs the sequential engine; two and four run the parallel
-// engine's gate at every epoch boundary, which is where boundary
-// off-by-ones hide.
+// worker runs a single chunk through the gate alone; two and four meet in
+// the gate at every epoch boundary, which is where boundary off-by-ones
+// hide.
 func runEngines(t *testing.T, cfg Config, label string) *Result {
 	t.Helper()
 	seqBuf := obs.NewBuffer()

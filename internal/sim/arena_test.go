@@ -140,3 +140,30 @@ func TestArenaAfterFailedRun(t *testing.T) {
 func stepCap(err error) bool { return err != nil && strings.Contains(err.Error(), "exceeded step cap") }
 
 func stalled(err error) bool { return err != nil && strings.Contains(err.Error(), "stalled") }
+
+// TestArenaRerunAllocs pins the allocations of a reused Arena's rerun of
+// one small spec on one chunk. The route table, the chunk shell and the
+// driver's records all come from the arena's memory, so a rerun allocates
+// only the Config copy the engine keeps, the run's done channel and the
+// Result.
+func TestArenaRerunAllocs(t *testing.T) {
+	const maxRerunAllocs = 3
+	sc := verify.Generate(1, 3).StripDynamics()
+	cfg, err := sc.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Workers = 0
+	var a sim.Arena
+	if _, err := a.Run(*cfg); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := a.Run(*cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > maxRerunAllocs {
+		t.Errorf("%s: a rerun made %.0f allocations, want at most %d", sc, allocs, maxRerunAllocs)
+	}
+}

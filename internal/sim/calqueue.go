@@ -35,7 +35,7 @@ import (
 //   - takeDue() merges the current ring bucket with due overflow entries
 //     and sorts ascending, reproducing the old heap's (step, key) pop order
 //     exactly — including adjacent duplicates — which keeps the event
-//     stream bit-identical across engines.
+//     stream bit-identical across chunk counts.
 
 const (
 	calRingBits = 9 // 512 buckets; delays beyond the span overflow
@@ -193,7 +193,7 @@ type readySet struct {
 // readyBuckets is the ring size newChunk carves per workstation from the
 // chunk's arena memory; push grows a ring only when the live steps span
 // more buckets than it has.
-const readyBuckets = 4
+const readyBuckets = 8
 
 func readyWords(cols int) int { return (cols + 63) / 64 }
 

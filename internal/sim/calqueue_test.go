@@ -234,7 +234,7 @@ func TestReadySetOrdering(t *testing.T) {
 		}
 	}
 	// A step-1 push below a higher minimum, then a span of 9 steps that a
-	// 4-bucket ring must grow (to 16) to hold.
+	// ring of readyBuckets (8) must grow (to 16) to hold.
 	r := readySet{bits: make([]uint64, readyBuckets), words: 1, mask: readyBuckets - 1}
 	r.push(5, 2)
 	r.push(1, 7)

@@ -193,9 +193,8 @@ func (p *proc) addWaiter(dense, step, idx, slot int32) {
 	s.waitHead = ni
 }
 
-// chunk simulates a contiguous slice [lo, hi) of the host line. The
-// sequential engine uses a single chunk covering everything; the parallel
-// engine runs one chunk per goroutine with conservative synchronisation.
+// chunk simulates a contiguous slice [lo, hi) of the host line, one per
+// worker of the driver (parallel.go); a one-chunk run covers the line.
 type chunk struct {
 	cfg *Config
 	rt  *routeTable
@@ -228,7 +227,7 @@ type chunk struct {
 	activeSpare []int32
 	txSpare     []int32
 
-	// outbound boundary batches (parallel engine)
+	// outbound boundary batches (multi-chunk runs)
 	outLeft, outRight []timedMsg
 
 	remaining       int64
@@ -252,8 +251,8 @@ type chunk struct {
 	deliverTap func(pos int, col, step int32, value uint64)
 
 	// event buffer (Config.Recorder != nil); chunks never share a buffer,
-	// so the parallel engine records race-free. collect() merges the
-	// canonical stream into Config.Recorder.
+	// so workers record race-free. collect() merges the canonical stream
+	// into Config.Recorder.
 	buf *obs.Buffer
 
 	// telemetry (Config.Telemetry != nil): one shard per chunk, the step
@@ -447,7 +446,7 @@ func newChunk(c *chunk, cfg *Config, rt *routeTable, lo, hi int) *chunk {
 			c.left[i] = link(&m.links[2*i+1], cfg.Delays[pos-1], rt.crossAt(rt.crossL, pos-1))
 		}
 	}
-	// Boundary outboxes (parallel engine): size for a few steps' worth of
+	// Boundary outboxes (multi-chunk runs): size for a few steps' worth of
 	// crossing traffic so windowed coalescing appends without reallocating.
 	if lo > 0 {
 		if cross := rt.crossAt(rt.crossL, lo-1); cross > 0 {
@@ -799,7 +798,7 @@ func (c *chunk) runTransmit() bool {
 				arrive += int64(c.faults.ExtraDelay(link, leftward, c.now, i))
 			}
 			c.hops++
-			// Counted here, by the send step, on both engines: a boundary
+			// Counted here, by the send step, for every chunk: a boundary
 			// arrival is scheduled by the receiver's clock at drain time,
 			// which depends on thread timing.
 			if arrive-c.now >= calRingSize {
@@ -859,8 +858,8 @@ func (c *chunk) step() bool {
 // the calendar. Pending crash-stops are ignored — with no work left they
 // change nothing. Adaptive runs use this as the termination test: dormant
 // standbys are route destinations that consume nothing, so standby-bound
-// traffic can still be in flight after the last pebble computes, and both
-// engines must drain it to the same (empty) state to stay bit-identical.
+// traffic can still be in flight after the last pebble computes, and every
+// chunk count must drain it to the same (empty) state to stay bit-identical.
 func (c *chunk) quiescent() bool {
 	if len(c.activeList) > 0 || len(c.txActive) > 0 {
 		return false

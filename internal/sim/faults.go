@@ -13,8 +13,8 @@ import (
 //
 //   - Jitter adds extra delay to individual injections. Arrivals on one link
 //     can then be non-monotone, so pushInflight keeps the in-flight list
-//     sorted; jitter is additive-only, which keeps the parallel engine's
-//     boundary lookahead (clock + base link delay) safe.
+//     sorted; jitter is additive-only, which keeps the driver's boundary
+//     lookahead (clock + base link delay) safe.
 //   - An outage keeps a link's injection loop from running; queued messages
 //     wait (the link stays in txActive, so the engine keeps stepping) and
 //     inject when the link recovers. Nothing is ever dropped.
@@ -26,10 +26,10 @@ import (
 //     front — static failover onto surviving replicas — and a column whose
 //     every holder crashes makes the run fail fast with UncomputableError.
 //
-// Everything above is driven by pure (seed, site, step) queries, so the
-// sequential and parallel engines see identical faults and stay
-// bit-identical; fault telemetry (obs.KindFault spans) is synthesised from
-// the plan after the run, identically in both engines.
+// Everything above is driven by pure (seed, site, step) queries, so every
+// chunk count sees identical faults and stays bit-identical; fault
+// telemetry (obs.KindFault spans) is synthesised from the plan after the
+// run.
 
 // UncomputableError reports a run that cannot complete: every replica of the
 // named columns lives on a crash-stop host, so no surviving workstation can
@@ -113,8 +113,8 @@ func orphanedColumns(cfg *Config, crashed []int) []int {
 }
 
 // faultEvents synthesises the run's obs.KindFault telemetry spans from the
-// plan. Both engines call this with the same plan and the same HostSteps, so
-// the spans are bit-identical by construction.
+// plan and the run's HostSteps, so the spans are bit-identical for every
+// chunk count by construction.
 func faultEvents(cfg *Config, hostSteps int64) []obs.Event {
 	p := cfg.Faults
 	if !p.Enabled() || hostSteps <= 0 {

@@ -96,19 +96,21 @@ func (rt *routeTable) validate(hostN int) error {
 
 // RunDeadlocked runs cfg in a over a route table with no routes, so every
 // dependency held on another workstation never arrives and the run stalls:
-// on the sequential engine when cuts is nil, else on the parallel engine
-// over cuts. Exported for the arena tests in package sim_test.
+// on one chunk when cuts is nil, else over cuts. Exported for the arena
+// tests in package sim_test.
 func (a *Arena) RunDeadlocked(cfg Config, cuts []int) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	rt := newRouteShell(cfg.Guest.Graph, cfg.Assign, nil)
 	rt.countCrossings(cfg.hostN(), nil)
-	var err error
 	if cuts == nil {
-		_, err = a.runSequential(&cfg, rt)
-	} else {
-		_, err = a.runParallelWithCuts(&cfg, rt, cuts)
+		cuts = oneChunk(&cfg)
 	}
+	_, err := a.runCuts(&cfg, rt, cuts)
 	return err
 }
+
+// oneChunk is the cut vector of a one-chunk run of cfg, which has no
+// boundary: the reference that multi-chunk runs are compared with.
+func oneChunk(cfg *Config) []int { return []int{0, cfg.hostN()} }

@@ -11,14 +11,20 @@ import (
 	"time"
 )
 
-// The parallel engine is a conservative parallel discrete-event simulator:
-// the host line is split into contiguous chunks, one goroutine each, with
-// lookahead equal to the boundary link delay. A chunk whose clock is at
-// step s cannot send anything that arrives before s + d_boundary, so its
-// neighbor may safely simulate up to that horizon.
+// The engine has one driver, a conservative parallel discrete-event
+// simulator: the host line is split into contiguous chunks, one worker
+// each, with lookahead equal to the boundary link delay. A chunk whose
+// clock is at step s cannot send anything that arrives before
+// s + d_boundary, so its neighbor may safely simulate up to that horizon.
 //
-// Four mechanisms keep the chunks busy without a channel operation on the
-// hot path:
+// A run with Config.Workers 0 or 1 is the driver's one-chunk case. Its
+// single worker has no neighbor, so its horizon is farFuture: it never
+// parks, and it runs on the caller's goroutine. Every arrival at the gate
+// is its own, so the gate decides the end of the run, a stall and the
+// next adaptive epoch with the same code for every chunk count.
+//
+// Four mechanisms keep several chunks busy without a channel operation on
+// the hot path:
 //
 //   - Work-balanced cuts: splitPositionsWork places cut i at the i-th work
 //     quantile of the per-host pebble counts (not the i-th host quantile),
@@ -48,15 +54,15 @@ import (
 //     wall-clock time, whether the run is over, the next epoch may start,
 //     or the run has stalled (see gate).
 //
-// Bit-identity with the sequential engine is preserved because coalescing
-// only delays *transport*, never reorders *simulation*: a batch held after a
+// Runs are bit-identical for every cut vector because coalescing only
+// delays *transport*, never reorders *simulation*: a batch held after a
 // flush at clock s0 contains messages injected at steps >= s0, which arrive
 // at or after s0 + d; the neighbor that read pub = s0 simulates strictly
 // below s0 + d, so no held message can be needed before the next flush
 // publishes it. Within a chunk, same-step delivery order is fixed by the
-// calendar's (position, from-left-first) key exactly as in the sequential
-// engine, and receiveBoundary stamps arrivals with the same steps a local
-// link would have produced. See DESIGN.md §5 for the full argument.
+// calendar's (position, from-left-first) key exactly as in a one-chunk run,
+// and receiveBoundary stamps arrivals with the same steps a local link
+// would have produced. See DESIGN.md §5 for the full argument.
 
 const (
 	farFuture = math.MaxInt64 / 4
@@ -100,7 +106,8 @@ type worker struct {
 	notify chan struct{} // 1-slot wakeup, paired with idle (Dekker handshake)
 }
 
-// run is the state every worker of one parallel run shares.
+// run is the state every worker of one run shares; the Arena keeps it
+// between runs.
 type run struct {
 	remaining atomic.Int64  // pebbles left across all chunks
 	done      chan struct{} // closed when the run ends, for any reason
@@ -109,9 +116,7 @@ type run struct {
 	gate      gate
 }
 
-// end ends the run with err (nil: finished). The first ending wins, as in
-// the sequential engine, which checks for the last pebble before its step
-// cap.
+// end ends the run with err (nil: finished). The first ending wins.
 func (r *run) end(err error) {
 	r.doneOnce.Do(func() {
 		r.err = err
@@ -272,24 +277,28 @@ func (w *worker) recordClockLag() {
 	}
 }
 
-// runUntil simulates local steps strictly below h, decrementing the shared
-// remaining counter as pebbles complete. Returns false on error.
+// runUntil simulates local steps strictly below h, fast-forwarding over
+// quiet periods (steps where nothing computes, arrives or transmits) and
+// decrementing the shared remaining counter as pebbles complete. It returns
+// false once the run has ended: at the step cap, or at a plain run's last
+// pebble.
 func (w *worker) runUntil(h, maxSteps int64) bool {
 	c := w.c
 	for c.now < h {
 		if c.now > maxSteps {
-			w.run.end(fmt.Errorf("sim: parallel chunk [%d,%d) exceeded step cap %d: %s",
+			w.run.end(fmt.Errorf("sim: chunk [%d,%d) exceeded step cap %d: %s",
 				c.lo, c.hi, maxSteps, frontier(c)))
 			return false
 		}
 		before := c.remaining
 		did := c.step()
 		if delta := before - c.remaining; delta > 0 {
-			// A plain run ends at its last pebble, like the sequential
-			// engine. An adaptive run keeps going to drain standby-bound
-			// traffic, and the gate ends it.
+			// A plain run ends at its last pebble. An adaptive run keeps
+			// going to drain standby-bound traffic (see chunk.quiescent),
+			// and the gate ends it.
 			if w.run.remaining.Add(-delta) == 0 && w.run.gate.ast == nil {
 				w.run.end(nil)
+				return false
 			}
 		}
 		if did {
@@ -310,10 +319,10 @@ func (w *worker) runUntil(h, maxSteps int64) bool {
 
 func (w *worker) loop(maxSteps int64) {
 	// The epoch cap: no chunk simulates past an epoch boundary before the
-	// controller has run there, which is what makes the parallel engine's
-	// activation points identical to the sequential engine's. A plain run
-	// is an adaptive run whose cap never arrives. Only the filling arrival
-	// moves the gate's cap, and not before this worker is inside.
+	// controller has run there, which is what makes the activation points
+	// identical for every chunk count. A plain run is an adaptive run whose
+	// cap never arrives. Only the filling arrival moves the gate's cap, and
+	// not before this worker is inside.
 	limit := w.run.gate.limit
 	for !w.run.isDone() { // finished, stalled, or another error
 		// Sample clocks before draining: any batch covering a clock we
@@ -383,7 +392,7 @@ func (w *worker) park() bool {
 	return woke
 }
 
-// gate is the parallel engine's one rendezvous. A worker enters it when it
+// gate is the driver's one rendezvous. A worker enters it when it
 // cannot advance on its own and leaves it, under the mutex and before
 // draining, only when a neighbor's batch is pending or the epoch it waited
 // at has been released. Inside, a worker never changes its chunk's event
@@ -445,11 +454,12 @@ func (w *worker) wait(limit int64) (int64, bool) {
 
 // decide is the verdict of the arrival that fills the gate, taken under
 // the gate mutex with every worker inside. With no pebbles left and
-// nothing able to move, the run is over: the adaptive analogue of the
-// sequential engine breaking out before its boundary branch. Otherwise an
-// adaptive run's clocks all sit at the cap, so the controller runs over
-// every chunk and the next epoch is released. A plain run with nothing
-// able to move has stalled. Reports whether the run goes on.
+// nothing able to move, the run is over, before the controller runs at
+// this boundary: an adaptive run that drains dry mid-epoch activates
+// nothing there. Otherwise an adaptive run's clocks all sit at the cap, so
+// the controller runs over every chunk and the next epoch is released. A
+// plain run with nothing able to move has stalled. Reports whether the run
+// goes on.
 func (r *run) decide() bool {
 	g := &r.gate
 	if r.remaining.Load() == 0 && settled(g.workers) {
@@ -466,7 +476,7 @@ func (r *run) decide() bool {
 		return true
 	}
 	if settled(g.workers) {
-		r.end(stallError("with every chunk quiet", g.chunks...))
+		r.end(fmt.Errorf("sim: stalled with every chunk quiet: %s", frontier(g.chunks...)))
 		return false
 	}
 	return true
@@ -546,13 +556,15 @@ func splitPositionsWork(delays []int, work []int64, w int) []int {
 	return cuts
 }
 
-// runParallel executes the simulation with cfg.Workers conservative chunks,
-// cut at the work quantiles of the assignment's per-host pebble counts.
-func (a *Arena) runParallel(cfg *Config, rt *routeTable) (*Result, error) {
+// cutLine returns cfg's cut vector: [0, n] for one chunk, else
+// cfg.Workers chunks (at most one per two hosts) cut at the work quantiles
+// of the assignment's per-host pebble counts.
+func (a *Arena) cutLine(cfg *Config) []int {
 	n := cfg.hostN()
 	w := min(cfg.Workers, n/2)
 	if w < 2 {
-		return a.runSequential(cfg, rt)
+		a.cuts = append(a.cuts[:0], 0, n)
+		return a.cuts
 	}
 	// Per-host work estimate: pebbles to compute, plus a baseline unit so
 	// pure relay hosts still count toward chunk sizes.
@@ -560,13 +572,14 @@ func (a *Arena) runParallel(cfg *Config, rt *routeTable) (*Result, error) {
 	for p := 0; p < n; p++ {
 		work[p] = 1 + int64(len(cfg.Assign.Owned[p]))*int64(cfg.Guest.Steps)
 	}
-	return a.runParallelWithCuts(cfg, rt, splitPositionsWork(cfg.Delays, work, w))
+	return splitPositionsWork(cfg.Delays, work, w)
 }
 
-// runParallelWithCuts runs the parallel engine over an explicit cut vector
-// (cuts[0] = 0 < cuts[1] < ... < cuts[w] = hostN). Any valid cut vector
-// produces bit-identical results — the fuzz harness exercises exactly that.
-func (a *Arena) runParallelWithCuts(cfg *Config, rt *routeTable, cuts []int) (*Result, error) {
+// runCuts runs the simulation over an explicit cut vector (cuts[0] = 0 <
+// cuts[1] < ... < cuts[w] = hostN), one chunk and one worker per span. Any
+// valid cut vector produces bit-identical results — the fuzz harness
+// exercises exactly that.
+func (a *Arena) runCuts(cfg *Config, rt *routeTable, cuts []int) (*Result, error) {
 	n := cfg.hostN()
 	w := len(cuts) - 1
 	if w < 1 || cuts[0] != 0 || cuts[w] != n {
@@ -577,30 +590,31 @@ func (a *Arena) runParallelWithCuts(cfg *Config, rt *routeTable, cuts []int) (*R
 			return nil, fmt.Errorf("sim: cut vector %v not strictly increasing", cuts)
 		}
 	}
-	if w == 1 {
-		return a.runSequential(cfg, rt)
-	}
-	chunks := make([]*chunk, w)
 	var total int64
 	for i := 0; i < w; i++ {
-		chunks[i] = newChunk(a.shell(i), cfg, rt, cuts[i], cuts[i+1])
-		total += chunks[i].remaining
+		total += newChunk(a.shell(i), cfg, rt, cuts[i], cuts[i+1]).remaining
 	}
+	chunks := a.shells[:w]
 	if total == 0 {
 		return collect(cfg, chunks)
 	}
 
-	r := &run{done: make(chan struct{})}
+	r := &a.run
+	*r = run{done: make(chan struct{}), gate: gate{limit: farFuture, ast: cfg.ast, chunks: chunks}}
 	r.remaining.Store(total)
-	workers := make([]*worker, w)
-	for i := range workers {
-		workers[i] = &worker{c: chunks[i], run: r, notify: make(chan struct{}, 1)}
-	}
-	g := &r.gate
-	g.limit, g.ast, g.workers, g.chunks = farFuture, cfg.ast, workers, chunks
 	if cfg.ast != nil {
-		g.limit = int64(cfg.ast.policy.Epoch) + 1
+		r.gate.limit = int64(cfg.ast.policy.Epoch) + 1
 	}
+	for len(a.workers) < w {
+		a.workers = append(a.workers, &worker{notify: make(chan struct{}, 1)})
+	}
+	workers := a.workers[:w]
+	for i, wk := range workers {
+		// A wakeup an earlier run left in notify is spurious: every park
+		// rechecks what it waits for.
+		*wk = worker{c: chunks[i], run: r, notify: wk.notify}
+	}
+	r.gate.workers = workers
 	for i := 0; i < w-1; i++ {
 		d := int64(cfg.Delays[cuts[i+1]-1])
 		win := max(1, d/2)
@@ -628,26 +642,30 @@ func (a *Arena) runParallelWithCuts(cfg *Config, rt *routeTable, cuts []int) (*R
 		workers[i+1].left = ls
 	}
 
-	var wg sync.WaitGroup
 	maxSteps := cfg.maxSteps()
-	for i, wk := range workers {
-		wg.Add(1)
-		labels := pprof.Labels("engine", "parallel",
-			"chunk", fmt.Sprintf("%d:%d-%d", i, wk.c.lo, wk.c.hi))
-		go func(wk *worker) {
-			defer wg.Done()
-			pprof.Do(context.Background(), labels, func(context.Context) {
-				wk.loop(maxSteps)
-			})
-		}(wk)
+	if w == 1 {
+		workers[0].loop(maxSteps) // no neighbor to run beside: no goroutine
+	} else {
+		var wg sync.WaitGroup
+		for i, wk := range workers {
+			wg.Add(1)
+			labels := pprof.Labels("engine", "parallel",
+				"chunk", fmt.Sprintf("%d:%d-%d", i, wk.c.lo, wk.c.hi))
+			go func() {
+				defer wg.Done()
+				pprof.Do(context.Background(), labels, func(context.Context) {
+					wk.loop(maxSteps)
+				})
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 
 	if r.err != nil {
 		return nil, r.err
 	}
 	if rem := r.remaining.Load(); rem != 0 {
-		return nil, fmt.Errorf("sim: parallel engine finished with %d pebbles remaining", rem)
+		return nil, fmt.Errorf("sim: run finished with %d pebbles remaining", rem)
 	}
 	return collect(cfg, chunks)
 }

@@ -149,34 +149,34 @@ func TestSplitPositionsTable(t *testing.T) {
 	})
 }
 
-// seqFrontier runs cfg over rt on the sequential engine, which must stall,
-// and returns its frontier: the error after "stalled at step N: ".
+// seqFrontier runs cfg over rt on one chunk, which must stall, and returns
+// its frontier: the error after "stalled with every chunk quiet: ".
 func seqFrontier(t *testing.T, cfg *Config, rt *routeTable) string {
 	t.Helper()
-	_, err := new(Arena).runSequential(cfg, rt)
+	_, err := new(Arena).runCuts(cfg, rt, oneChunk(cfg))
 	if err == nil {
-		t.Fatal("sequential engine finished a deadlocked run")
+		t.Fatal("one chunk finished a deadlocked run")
 	}
-	_, f, ok := strings.Cut(err.Error(), "stalled at step ")
-	if _, f, ok = strings.Cut(f, ": "); !ok {
-		t.Fatalf("sequential error is not a stall: %v", err)
+	_, f, ok := strings.Cut(err.Error(), "stalled with every chunk quiet: ")
+	if !ok {
+		t.Fatalf("one-chunk error is not a stall: %v", err)
 	}
 	return f
 }
 
-// checkStall runs the parallel engine over cuts and requires the stall
-// error with the sequential engine's frontier. MaxSteps is far out of
-// reach, so only the gate's stall verdict can end the run.
+// checkStall runs cfg over cuts and requires the stall error with the
+// one-chunk run's frontier. MaxSteps is far out of reach, so only the
+// gate's stall verdict can end either run.
 func checkStall(t *testing.T, cfg Config, rt *routeTable, cuts []int) {
 	t.Helper()
 	cfg.MaxSteps = 1 << 40
 	want := seqFrontier(t, &cfg, rt)
-	_, err := new(Arena).runParallelWithCuts(&cfg, rt, cuts)
+	_, err := new(Arena).runCuts(&cfg, rt, cuts)
 	if err == nil {
 		t.Fatal("deadlocked run reported success")
 	}
 	if !strings.Contains(err.Error(), "stalled") || !strings.Contains(err.Error(), want) {
-		t.Fatalf("cuts %v: got %v, want a stall at the sequential frontier %q", cuts, err, want)
+		t.Fatalf("cuts %v: got %v, want a stall at the one-chunk frontier %q", cuts, err, want)
 	}
 	t.Log(err)
 }
@@ -206,8 +206,8 @@ func TestStallCatchesDeadlock(t *testing.T) {
 
 // TestStepCapEndsDeadAdaptiveRun gives the deadlock above an adaptive
 // policy. There a quiet run is no stall, since an activation at the next
-// epoch boundary may revive it, so both engines must run into the step cap
-// instead of hanging. On two chunks every epoch ends in the gate with every
+// epoch boundary may revive it, so one chunk and two must both run into
+// the step cap instead of hanging. Every epoch ends in the gate with every
 // chunk settled and pebbles left, and the gate releases the next epoch.
 func TestStepCapEndsDeadAdaptiveRun(t *testing.T) {
 	a, err := assign.FromOwned(2, 2, [][]int{{0}, {1}})
@@ -228,8 +228,8 @@ func TestStepCapEndsDeadAdaptiveRun(t *testing.T) {
 	rt := newRouteShell(cfg.Guest.Graph, a, cfg.ast.extraCols)
 	rt.countCrossings(2, nil)
 	engines := map[string]func() (*Result, error){
-		"seq": func() (*Result, error) { return new(Arena).runSequential(&cfg, rt) },
-		"par": func() (*Result, error) { return new(Arena).runParallelWithCuts(&cfg, rt, []int{0, 1, 2}) },
+		"seq": func() (*Result, error) { return new(Arena).runCuts(&cfg, rt, oneChunk(&cfg)) },
+		"par": func() (*Result, error) { return new(Arena).runCuts(&cfg, rt, []int{0, 1, 2}) },
 	}
 	for name, f := range engines {
 		if _, err := f(); err == nil || !strings.Contains(err.Error(), "exceeded step cap 40") {
@@ -450,9 +450,9 @@ func cutsFromBytes(raw []byte, n int) []int {
 }
 
 // FuzzParallelCuts feeds arbitrary cut vectors — including size-1 chunks and
-// heavily unbalanced tilings — through the parallel engine and asserts the
-// result is bit-identical to the sequential engine. The cut choice is pure
-// placement; any valid vector must reproduce the same simulation.
+// heavily unbalanced tilings — through the driver and asserts the result is
+// bit-identical to the one-chunk run. The cut choice is pure placement; any
+// valid vector must reproduce the same simulation.
 func FuzzParallelCuts(f *testing.F) {
 	f.Add(int64(1), []byte{3, 9})
 	f.Add(int64(7), []byte{1, 1, 1, 1})
@@ -478,12 +478,12 @@ func FuzzParallelCuts(f *testing.F) {
 			t.Skip()
 		}
 		rt := buildRoutes(cfg.Guest.Graph, cfg.Assign, nil, nil)
-		seq, err := new(Arena).runSequential(&cfg, rt)
+		seq, err := new(Arena).runCuts(&cfg, rt, oneChunk(&cfg))
 		if err != nil {
 			t.Fatalf("seq: %v", err)
 		}
 		cuts := cutsFromBytes(raw, hostN)
-		par, err := new(Arena).runParallelWithCuts(&cfg, rt, cuts)
+		par, err := new(Arena).runCuts(&cfg, rt, cuts)
 		if err != nil {
 			t.Fatalf("cuts %v: %v", cuts, err)
 		}

@@ -2,8 +2,8 @@ package sim
 
 import "sync/atomic"
 
-// spsc is a single-producer single-consumer ring buffer. The parallel
-// engine's boundary path uses one per direction between adjacent chunks, so
+// spsc is a single-producer single-consumer ring buffer. The driver's
+// boundary path uses one per direction between adjacent chunks, so
 // hot-path sends and receives are two atomic loads and one atomic store —
 // never a channel operation, never a select, never an allocation.
 //

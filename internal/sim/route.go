@@ -103,15 +103,14 @@ func (rt *routeTable) bytes() int64 {
 // inside the memory of its earlier builds.
 type routeBuilder struct {
 	rt       routeTable
-	interned map[string]int32 // encoded chain -> its chainArena offset
-	keyBuf   []byte
-	enc      []int32   // one chain's encoding
-	lasts    []int32   // last destination per route, for countCrossings
-	slots    []int32   // sender slot per route, for the flattened index
-	fan      []fanDest // one column's destinations with their senders
-	mark     []int32   // per position: col+1 once it is col's holder or destination
-	dead     []bool    // per position: excluded from routing
-	live     []int     // one column's live holders
+	interned map[uint64]int32 // hash of an encoded chain -> its chainArena offset
+	enc      []int32          // one chain's encoding
+	lasts    []int32          // last destination per route, for countCrossings
+	slots    []int32          // sender slot per route, for the flattened index
+	fan      []fanDest        // one column's destinations with their senders
+	mark     []int32          // per position: col+1 once it is col's holder or destination
+	dead     []bool           // per position: excluded from routing
+	live     []int            // one column's live holders
 }
 
 // fanDest is one destination of a column's values and the holder that
@@ -219,22 +218,26 @@ func (b *routeBuilder) build(g guest.Graph, a *assign.Assignment, avoid []int, e
 	}
 
 	// intern stores an encoded chain in the arena, returning the offset of
-	// an existing identical chain when one was already interned.
+	// an existing identical chain when one was already interned. Chains are
+	// keyed by a hash and compared on a hit; a hit whose chain differs is
+	// stored again, so a collision costs arena space, never correctness.
 	if b.interned == nil {
-		b.interned = make(map[string]int32)
+		b.interned = make(map[uint64]int32)
 	}
 	clear(b.interned)
 	intern := func(enc []int32) int32 {
-		b.keyBuf = b.keyBuf[:0]
+		key := uint64(14695981039346656037) // FNV-1a over the chain's values
 		for _, v := range enc {
-			b.keyBuf = append(b.keyBuf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+			key = (key ^ uint64(uint32(v))) * 1099511628211
 		}
-		if off, ok := b.interned[string(b.keyBuf)]; ok {
-			return off
+		if off, ok := b.interned[key]; ok {
+			if end := int(off) + len(enc); end <= len(rt.chainArena) && slices.Equal(rt.chainArena[off:end], enc) {
+				return off
+			}
 		}
 		off := int32(len(rt.chainArena))
 		rt.chainArena = append(rt.chainArena, enc...)
-		b.interned[string(b.keyBuf)] = off
+		b.interned[key] = off
 		return off
 	}
 

@@ -260,7 +260,7 @@ func eqI32(a, b []int32) bool {
 
 // RouteDifferential builds cfg's route table with both the production and
 // reference builders, checks them structurally identical, and (when events
-// is true) runs the sequential engine once per table asserting bit-identical
+// is true) runs one chunk once per table asserting bit-identical
 // obs event streams. Exported so the corpus test in package sim_test (which
 // can import internal/verify without a cycle) can drive it.
 func RouteDifferential(cfg Config, events bool) error {
@@ -334,7 +334,7 @@ func RouteDifferential(cfg Config, events bool) error {
 		c := prep()
 		buf := obs.NewBuffer()
 		c.Recorder = buf
-		res, err := new(Arena).runSequential(&c, rt)
+		res, err := new(Arena).runCuts(&c, rt, oneChunk(&c))
 		return buf.Events(), res, err
 	}
 	evNew, resNew, errNew := runWith(rtNew)

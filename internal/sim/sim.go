@@ -18,11 +18,11 @@
 // independent of the particular assignment (OVERLAP, Theorem 4 blocks,
 // single-copy baselines, ... all run unmodified).
 //
-// Two engines share the same step semantics: a sequential engine, and a
-// conservative parallel discrete-event engine (one goroutine per contiguous
-// chunk of the line, null-message synchronisation with lookahead equal to
-// the boundary link delay). They produce bit-identical results; tests assert
-// it.
+// One driver runs the line as contiguous chunks, one worker each: a
+// conservative parallel discrete-event simulation with null-message
+// synchronisation and lookahead equal to the boundary link delay
+// (parallel.go). A plain run is its one-chunk case. Every cut of the line
+// produces bit-identical results; tests assert it.
 package sim
 
 import (
@@ -58,15 +58,17 @@ type Config struct {
 	// MaxSteps aborts runs that exceed it (a stall safety net); zero
 	// picks a generous default derived from the work and delay volume.
 	MaxSteps int64
-	// Workers > 1 selects the parallel engine with that many chunks.
+	// Workers is the number of chunks the line is cut into, one worker
+	// goroutine each, at most one per two hosts. 0 and 1 both mean one
+	// chunk, run on the caller's goroutine.
 	Workers int
 	// Check verifies every database replica's final digest against the
 	// sequential reference executor.
 	Check bool
 	// Recorder, when non-nil, receives the run's structured event stream
-	// (package obs). Both engines buffer events per chunk and, after the
-	// run, append the merged stream to Recorder in canonical order, so it
-	// is bit-identical from either engine. Nil costs nothing.
+	// (package obs). Chunks buffer their events and, after the run, the
+	// merged stream is appended to Recorder in canonical order, so it is
+	// bit-identical for every chunk count. Nil costs nothing.
 	Recorder *obs.Buffer
 	// Faults, when non-nil, injects the plan's deterministic faults (link
 	// jitter, link outages, host slowdowns, crash-stop hosts — see
@@ -79,15 +81,14 @@ type Config struct {
 	// (internal/adapt): dormant standby replicas are provisioned at build
 	// time and activated at epoch boundaries when the stall forensics blame
 	// a column past the policy threshold. Fully deterministic: adaptive runs
-	// stay bit-identical across engines and worker counts (see adapt.go).
+	// stay bit-identical across worker counts (see adapt.go).
 	Adapt *adapt.Policy
 	// Telemetry, when non-nil, receives the figures that depend on the
-	// clock or the machine: both engines add one telemetry.Shard per chunk,
-	// with the chunk's host range. Each chunk pushes its pebble progress
-	// every 64 steps; the parallel engine's boundary flushes, ring stalls
-	// and worker parks are written where they happen. Nil disables it down
-	// to a single branch per step. Deterministic work figures are in
-	// Result.Work either way.
+	// clock or the machine: one telemetry.Shard per chunk, with the chunk's
+	// host range. Each chunk pushes its pebble progress every 64 steps;
+	// boundary flushes, ring stalls and worker parks are written where they
+	// happen. Nil disables it down to a single branch per step.
+	// Deterministic work figures are in Result.Work either way.
 	Telemetry *telemetry.Registry
 	// ast is the resolved adaptive-replication state; set by Run when Adapt
 	// is enabled.
@@ -183,7 +184,7 @@ func (c *Config) Validate() error {
 type Work = telemetry.Work
 
 // Result reports what a run measured. Every field is deterministic: equal
-// configurations give equal Results on either engine and any worker count.
+// configurations give equal Results for any worker count.
 // Wall-clock engine mechanics go to Config.Telemetry, and the event stream
 // to Config.Recorder.
 type Result struct {
@@ -243,21 +244,27 @@ func Run(cfg Config) (*Result, error) { return new(Arena).Run(cfg) }
 // Arena is a reusable engine context for callers that run many simulations
 // one after another, such as fleet sweeps. Its Run rebuilds a run's state
 // inside the memory kept from the arena's earlier runs: the route table and
-// its build scratch, and one chunk shell per engine chunk (the calendar
-// ring, the flat replica and knowledge-ring arrays, the links and their
-// queues). Backing memory is reused, logical state never is: every slice
-// restarts at length 0 and every knowledge ring at initRingSlots, so a run's
-// Result, event stream and work counters equal a fresh arena's.
+// its build scratch, one chunk shell per chunk (the calendar ring, the flat
+// replica and knowledge-ring arrays, the links and their queues) and the
+// driver's records (the shared run state, the workers). Backing memory is
+// reused, logical state never is: every slice restarts at length 0 and
+// every knowledge ring at initRingSlots, so a run's Result, event stream
+// and work counters equal a fresh arena's.
 //
 // The zero Arena is ready to use. An Arena is not safe for concurrent use,
 // and it keeps the footprint of the largest run it has served.
 type Arena struct {
 	routes routeBuilder
 	shells []*chunk
+	// The driver's records: the state the workers share, one worker (with
+	// its notify channel) per chunk, and a one-chunk run's cut vector.
+	run     run
+	workers []*worker
+	cuts    []int
 }
 
-// shell returns the arena's chunk shell i; chunk i of every run, on either
-// engine, is built in it.
+// shell returns the arena's chunk shell i; chunk i of every run is built
+// in it.
 func (a *Arena) shell(i int) *chunk {
 	for len(a.shells) <= i {
 		a.shells = append(a.shells, new(chunk))
@@ -309,15 +316,7 @@ func (a *Arena) Run(cfg Config) (*Result, error) {
 	if err := routeEnvelope(int64(len(routes.chainArena)), int64(cfg.Assign.Columns)); err != nil {
 		return nil, err
 	}
-	var (
-		res *Result
-		err error
-	)
-	if cfg.Workers > 1 {
-		res, err = a.runParallel(&cfg, routes)
-	} else {
-		res, err = a.runSequential(&cfg, routes)
-	}
+	res, err := a.runCuts(&cfg, routes, a.cutLine(&cfg))
 	if err != nil {
 		return nil, err
 	}
@@ -331,7 +330,7 @@ func (a *Arena) Run(cfg Config) (*Result, error) {
 	}
 	res.Load = cfg.Assign.Load()
 	res.Bandwidth = cfg.bandwidth()
-	return res, err
+	return res, nil
 }
 
 // EnvelopeError reports a configuration outside the engine's int32
@@ -403,8 +402,9 @@ func routeEnvelope(arena, columns int64) error {
 
 // firstOver returns the first figure past its limit, or nil.
 func firstOver(fs ...EnvelopeError) error {
-	for _, f := range fs {
-		if f.Value > f.Limit {
+	for i := range fs {
+		if fs[i].Value > fs[i].Limit {
+			f := fs[i] // copied only here, so the loop allocates nothing
 			return &f
 		}
 	}

@@ -1,6 +1,6 @@
 package sim
 
-// This file wires the engines into package telemetry, which carries only
+// This file wires the engine into package telemetry, which carries only
 // what depends on the clock or the machine. Every deterministic work figure
 // lives in Result (its Work field among them), which collect fills from the
 // plain fields chunks, procs and stores keep. Each chunk's telemetry.Shard

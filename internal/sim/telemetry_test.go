@@ -55,7 +55,7 @@ func TestTelemetrySequentialAgreesWithResult(t *testing.T) {
 	if w.RouteBytes <= 0 {
 		t.Error("route_bytes not reported")
 	}
-	// Sequential engine must not report parallel-only metrics.
+	// One chunk has no boundary, so it reports no boundary metrics.
 	if snap.Gauges.RingOccupancyPeak != 0 || snap.Counters.BoundaryFlushes != 0 {
 		t.Error("sequential run reported boundary telemetry")
 	}
@@ -178,8 +178,8 @@ func TestDisabledLayersAttachNothing(t *testing.T) {
 		Guest:  guest.Spec{Graph: guest.NewLinearArray(cols), Steps: 8, Seed: 3},
 		Assign: a,
 	}
-	// chunks builds what each engine runs, set up as Run sets it up: the
-	// sequential engine's one chunk, then the parallel engine's four.
+	// chunks builds what each chunk count runs, set up as Run sets it up:
+	// one chunk, then four.
 	chunks := func(cfg Config) []*chunk {
 		if err := cfg.Validate(); err != nil {
 			t.Fatal(err)
