@@ -47,9 +47,13 @@ type Database interface {
 type Factory func(node int, seed int64) Database
 
 // MixDB is the fast database implementation: its entire state is a 64-bit
-// running digest. It exercises exactly the properties the theorems use
+// running digest, MixInit at version 0 and MixFold over each update value
+// after that. It exercises exactly the properties the theorems use
 // (order-sensitive state, pebble-sized updates) at negligible cost, so the
-// big parameter sweeps use it.
+// big parameter sweeps use it. The host engine keeps the default
+// database's state inline in its replica records through MixInit and
+// MixFold instead of holding MixDB values, so those two functions are
+// the one definition of its semantics.
 type MixDB struct {
 	node    int
 	version int
@@ -66,8 +70,15 @@ func NewMixDB(node int, seed int64) Database {
 // Reset makes d the initial database NewMixDB(node, seed) returns, in
 // place, so callers that hold many replicas can keep them in one slice.
 func (d *MixDB) Reset(node int, seed int64) {
-	*d = MixDB{node: node, state: initDigest(node, seed)}
+	*d = MixDB{node: node, state: MixInit(node, seed)}
 }
+
+// MixInit is the state of node's MixDB at version 0 under seed.
+func MixInit(node int, seed int64) uint64 { return initDigest(node, seed) }
+
+// MixFold is the state of a MixDB after it applies an update of value v
+// to state. It is order-sensitive, like combine.
+func MixFold(state, v uint64) uint64 { return combine(state, v) }
 
 // Node implements Database.
 func (d *MixDB) Node() int { return d.node }
@@ -81,7 +92,7 @@ func (d *MixDB) Digest() uint64 { return d.state }
 // Apply implements Database.
 func (d *MixDB) Apply(u Update) {
 	d.checkUpdate(u)
-	d.state = combine(d.state, u.Val)
+	d.state = MixFold(d.state, u.Val)
 	d.version++
 }
 

@@ -33,8 +33,10 @@ type Graph interface {
 // LinearArray is the m-processor guest linear array used throughout
 // Section 3: node i depends on nodes i-1 and i+1.
 type LinearArray struct {
-	m     int
-	neigh [][]int
+	m int
+	// flat lists every node's neighbors in node order: node i's are
+	// flat[2i-1 : 2i+1], clipped to the array at the two ends.
+	flat []int
 }
 
 // NewLinearArray returns the guest linear array with m processors.
@@ -42,17 +44,17 @@ func NewLinearArray(m int) *LinearArray {
 	if m < 1 {
 		panic(fmt.Sprintf("guest: linear array size %d", m))
 	}
-	la := &LinearArray{m: m, neigh: make([][]int, m)}
+	la := &LinearArray{m: m}
+	if m == 1 {
+		return la
+	}
+	la.flat = make([]int, 0, 2*m-2)
 	for i := 0; i < m; i++ {
-		switch {
-		case m == 1:
-			la.neigh[i] = nil
-		case i == 0:
-			la.neigh[i] = []int{1}
-		case i == m-1:
-			la.neigh[i] = []int{m - 2}
-		default:
-			la.neigh[i] = []int{i - 1, i + 1}
+		if i > 0 {
+			la.flat = append(la.flat, i-1)
+		}
+		if i < m-1 {
+			la.flat = append(la.flat, i+1)
 		}
 	}
 	return la
@@ -61,8 +63,12 @@ func NewLinearArray(m int) *LinearArray {
 // NumNodes implements Graph.
 func (l *LinearArray) NumNodes() int { return l.m }
 
-// Neighbors implements Graph.
-func (l *LinearArray) Neighbors(i int) []int { return l.neigh[i] }
+// Neighbors implements Graph. The slice is capped at its own end, so no
+// caller can append into the next node's neighbors.
+func (l *LinearArray) Neighbors(i int) []int {
+	lo, hi := max(2*i-1, 0), min(2*i+1, len(l.flat))
+	return l.flat[lo:hi:hi]
+}
 
 // Name implements Graph.
 func (l *LinearArray) Name() string { return fmt.Sprintf("guest-line(%d)", l.m) }

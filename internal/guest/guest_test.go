@@ -13,6 +13,11 @@ func TestLinearArrayNeighbors(t *testing.T) {
 		if len(got) != len(want) {
 			t.Fatalf("node %d: %v want %v", i, got, want)
 		}
+		// The lists share one backing array: an append must not reach
+		// the next node's.
+		if cap(got) != len(got) {
+			t.Fatalf("node %d: cap %d beyond len %d", i, cap(got), len(got))
+		}
 		for j := range want {
 			if got[j] != want[j] {
 				t.Fatalf("node %d: %v want %v", i, got, want)

@@ -23,10 +23,18 @@ func RunDigestParallel(spec Spec, workers int) (*DigestResult, error) {
 		workers = 1
 	}
 	workers = min(workers, m)
-	factory := spec.Factory()
 	dbs := make([]Database, m)
-	for i := range dbs {
-		dbs[i] = factory(i, spec.Seed)
+	if spec.NewDatabase == nil {
+		// The default databases share one backing slice.
+		mixes := make([]MixDB, m)
+		for i := range dbs {
+			mixes[i].Reset(i, spec.Seed)
+			dbs[i] = &mixes[i]
+		}
+	} else {
+		for i := range dbs {
+			dbs[i] = spec.NewDatabase(i, spec.Seed)
+		}
 	}
 	prev := make([]uint64, m)
 	next := make([]uint64, m)

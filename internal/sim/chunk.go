@@ -96,9 +96,10 @@ func (l *dlink) popInflight() msg {
 
 // ownedCol is one database replica held by a workstation, together with the
 // greedy progress state for its pebble column. It is the per-pebble hot
-// record, so it holds exactly one cache line (64 bytes) and no slices: the
-// column's variable-length state lives in flat arrays it indexes by
-// offset/length pairs —
+// record: 56 bytes with the default database inline (state; a custom
+// factory's replicas live in proc.dbs) and no slices. The column's
+// variable-length state lives in flat arrays it indexes by offset/length
+// pairs —
 //
 //	guest neighbors:  proc.nbCol/nbDense/depVals[nbOff : nbOff+nbN]
 //	routes it feeds:  routeTable.routeIDs[rtOff : rtOff+rtN]
@@ -108,11 +109,11 @@ type ownedCol struct {
 	next      int32  // next guest step to compute (1-based; T+1 when done)
 	missing   int32  // unknown dependencies for step `next`
 	lastVal   uint64 // value at step next-1 (own column, computed locally)
-	db        guest.Database
-	nbOff     int32 // first neighbor slot in the proc's flat arrays
-	nbN       int32 // guest neighbors (ascending from nbOff)
-	rtOff     int32 // first route id in routeTable.routeIDs
-	rtN       int32 // routes this position feeds for this column
+	state     uint64 // default database at version next-1 (guest.MixFold)
+	nbOff     int32  // first neighbor slot in the proc's flat arrays
+	nbN       int32  // guest neighbors (ascending from nbOff)
+	rtOff     int32  // first route id in routeTable.routeIDs
+	rtN       int32  // routes this position feeds for this column
 
 	// Adaptive replication (Config.Adapt; see adapt.go). standby marks a
 	// provisioned extra replica, appended after the base columns; dormant
@@ -147,6 +148,7 @@ type proc struct {
 	nbCol   []int32
 	nbDense []int32
 	depVals []uint64
+	dbs     []guest.Database // a custom factory's replicas, parallel to cols; else nil
 	// know is the dense knowledge store: known values and pending-waiter
 	// anchors, indexed by (dense column, step) — see dense.go.
 	know      denseKnow
@@ -271,7 +273,6 @@ type chunkMem struct {
 	nbDense []int32
 	depVals []uint64
 	ready   []uint64 // readySet rings, readyBuckets per workstation
-	dbs     []guest.MixDB
 	rings   []kring
 	slots   []kslot
 	links   []dlink
@@ -310,8 +311,8 @@ func newChunk(c *chunk, cfg *Config, rt *routeTable, lo, hi int) *chunk {
 	if cfg.Recorder != nil {
 		c.buf = obs.NewBuffer()
 	}
-	// The default database is built in place in mem.dbs; a custom factory
-	// is called once per replica.
+	// The default database starts inline in each replica record; a custom
+	// factory is called once per replica.
 	factory := cfg.Guest.NewDatabase
 	neighbors := cfg.Guest.Graph.Neighbors
 	// held lists a position's base columns, then its standbys.
@@ -339,9 +340,6 @@ func newChunk(c *chunk, cfg *Config, rt *routeTable, lo, hi int) *chunk {
 	m.nbDense, m.depVals = reuse(m.nbDense, nSlots), reuse(m.depVals, nSlots)
 	m.ready = reuse(m.ready, nReady)
 	clear(m.ready)
-	if factory == nil {
-		m.dbs = reuse(m.dbs, nCols)
-	}
 	// Knowledge rings: position pos's universe is rt.universe(pos), and its
 	// rings are the matching span of one chunk-wide array.
 	uLo := rt.uniOff[lo]
@@ -366,10 +364,9 @@ func newChunk(c *chunk, cfg *Config, rt *routeTable, lo, hi int) *chunk {
 		for i, col := range all {
 			oc := ownedCol{col: int32(col), next: 1}
 			if factory == nil {
-				m.dbs[len(cols)].Reset(col, cfg.Guest.Seed)
-				oc.db = &m.dbs[len(cols)]
+				oc.state = guest.MixInit(col, cfg.Guest.Seed)
 			} else {
-				oc.db = factory(col, cfg.Guest.Seed)
+				p.dbs = append(p.dbs, factory(col, cfg.Guest.Seed))
 			}
 			oc.selfDense = denseIndex(universe, oc.col)
 			rings[oc.selfDense].cons++
@@ -624,8 +621,15 @@ func (c *chunk) computeOne(p *proc) bool {
 		self = oc.lastVal
 	}
 	lo, hi := oc.nbOff, oc.nbOff+oc.nbN
-	v := c.cfg.Guest.Compute(oc.db.Digest(), int(oc.col), int(t), self, p.depVals[lo:hi])
-	oc.db.Apply(guest.Update{Node: int(oc.col), Step: int(t), Val: v})
+	var v uint64
+	if g := &c.cfg.Guest; g.NewDatabase == nil {
+		v = g.Compute(oc.state, int(oc.col), int(t), self, p.depVals[lo:hi])
+		oc.state = guest.MixFold(oc.state, v)
+	} else {
+		db := p.dbs[idx]
+		v = g.Compute(db.Digest(), int(oc.col), int(t), self, p.depVals[lo:hi])
+		db.Apply(guest.Update{Node: int(oc.col), Step: int(t), Val: v})
+	}
 	oc.lastVal = v
 	p.computed++
 	p.remaining--

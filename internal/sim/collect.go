@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"latencyhide/internal/guest"
 	"latencyhide/internal/obs"
@@ -35,8 +36,8 @@ func frontier(chunks ...*chunk) string {
 }
 
 // collect assembles a Result from finished chunks and optionally verifies
-// every database replica against the sequential reference executor.
-func collect(cfg *Config, chunks []*chunk) (*Result, error) {
+// every database replica against the reference run that ref waits for.
+func collect(cfg *Config, chunks []*chunk, ref func() (*guest.DigestResult, error)) (*Result, error) {
 	res := &Result{}
 	var dups int64
 	w := &res.Work
@@ -75,7 +76,7 @@ func collect(cfg *Config, chunks []*chunk) (*Result, error) {
 		res.AdaptActivations = len(cfg.ast.decisions)
 	}
 	if cfg.Check {
-		if err := verify(cfg, chunks); err != nil {
+		if err := verify(cfg, chunks, ref); err != nil {
 			return nil, err
 		}
 		res.Checked = true
@@ -99,11 +100,23 @@ func collect(cfg *Config, chunks []*chunk) (*Result, error) {
 	return res, nil
 }
 
-// verify recomputes the guest sequentially and compares every replica's
-// final database digest (which is order-sensitive over the full update
-// history) against ground truth.
-func verify(cfg *Config, chunks []*chunk) error {
-	oracle, err := guest.RunDigestParallel(cfg.Guest, 0)
+// startReference runs the reference executor on its own goroutine, beside
+// the engine on the core a one-chunk run leaves idle, and returns the wait
+// for its result; callers wait on every return path.
+func startReference(spec guest.Spec) func() (*guest.DigestResult, error) {
+	var res *guest.DigestResult
+	var err error
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { defer wg.Done(); res, err = guest.RunDigestParallel(spec, 1) }()
+	return func() (*guest.DigestResult, error) { wg.Wait(); return res, err }
+}
+
+// verify compares every replica's final database version and digest (which
+// is order-sensitive over the full update history) against the reference
+// run that ref waits for.
+func verify(cfg *Config, chunks []*chunk, ref func() (*guest.DigestResult, error)) error {
+	oracle, err := ref()
 	if err != nil {
 		return err
 	}
@@ -119,11 +132,15 @@ func verify(cfg *Config, chunks []*chunk) error {
 				if oc.dormant || slices.Contains(crashed, int(p.pos)) {
 					continue
 				}
-				if v := oc.db.Version(); v != cfg.Guest.Steps {
+				v, d := int(oc.next)-1, oc.state
+				if cfg.Guest.NewDatabase != nil {
+					v, d = p.dbs[j].Version(), p.dbs[j].Digest()
+				}
+				if v != cfg.Guest.Steps {
 					return fmt.Errorf("sim: replica of db %d at pos %d has version %d, want %d",
 						oc.col, p.pos, v, cfg.Guest.Steps)
 				}
-				if d, want := oc.db.Digest(), oracle.FinalDigests[oc.col]; d != want {
+				if want := oracle.FinalDigests[oc.col]; d != want {
 					return fmt.Errorf("sim: replica of db %d at pos %d has digest %#x, want %#x",
 						oc.col, p.pos, d, want)
 				}

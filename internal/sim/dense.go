@@ -80,8 +80,9 @@ type denseKnow struct {
 
 // initRingSlots is the initial per-column ring capacity. Most columns never
 // hold more than a few live steps at once (retirement runs one step behind
-// the frontier), so start small and let skewed columns grow on demand.
-const initRingSlots = 8
+// the frontier), so start small and let skewed columns grow on demand. Four
+// 16-byte slots make an initial ring one cache line.
+const initRingSlots = 4
 
 // appendUniverse appends to dst the sorted distinct guest columns that can
 // ever be keyed at a position holding the columns in `held` (base and

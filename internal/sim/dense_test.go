@@ -89,7 +89,7 @@ func TestDenseRingGrowthRehomes(t *testing.T) {
 	// doubling, straight to a capacity covering the whole live span.
 	k2 := singleColKnow()
 	k2.put(0, 1, 1)
-	k2.put(0, 1001, 2) // 1001 ≡ 1 mod 8: conflict, span 1001
+	k2.put(0, 1001, 2) // 1001 ≡ 1 mod 4: conflict, span 1001
 	if _, ok := k2.get(0, 1); !ok {
 		t.Fatal("step 1 lost")
 	}
@@ -130,7 +130,9 @@ func TestDenseWaiterAnchor(t *testing.T) {
 }
 
 // A growth spike must be temporary: once the spiked values retire, the ring
-// shrinks back to initRingSlots and only slotsPeak remembers the spike.
+// shrinks back to initRingSlots and only slotsPeak remembers the spike. The
+// 32-slot ring shrinks at each quarter crossing: to the 8 slots its 8
+// survivors span, then home to initRingSlots once 2 are left.
 func TestDenseRingShrinkAfterSpike(t *testing.T) {
 	k := singleColKnow()
 	for s := int32(1); s <= 32; s++ {
@@ -142,8 +144,19 @@ func TestDenseRingShrinkAfterSpike(t *testing.T) {
 	for s := int32(1); s <= 24; s++ {
 		k.consume(0, s)
 	}
-	if k.shrinks != 1 {
-		t.Fatalf("shrinks = %d, want 1", k.shrinks)
+	if k.shrinks != 1 || k.slots != 8 {
+		t.Fatalf("shrinks = %d slots = %d at live 8, want 1 and 8", k.shrinks, k.slots)
+	}
+	for s := int32(25); s <= 32; s++ {
+		if v, ok := k.get(0, s); !ok || v != uint64(s) {
+			t.Fatalf("step %d lost across shrink", s)
+		}
+	}
+	for s := int32(25); s <= 30; s++ {
+		k.consume(0, s)
+	}
+	if k.shrinks != 2 {
+		t.Fatalf("shrinks = %d, want 2", k.shrinks)
 	}
 	if k.slots != initRingSlots {
 		t.Fatalf("slots = %d after drain, want %d", k.slots, initRingSlots)
@@ -151,18 +164,18 @@ func TestDenseRingShrinkAfterSpike(t *testing.T) {
 	if k.slotsPeak != 32 {
 		t.Fatalf("slotsPeak = %d, want 32 (the spike)", k.slotsPeak)
 	}
-	for s := int32(25); s <= 32; s++ {
+	for s := int32(31); s <= 32; s++ {
 		if v, ok := k.get(0, s); !ok || v != uint64(s) {
 			t.Fatalf("step %d lost across shrink", s)
 		}
 	}
-	if k.live != 8 {
-		t.Fatalf("live = %d, want 8", k.live)
+	if k.live != 2 {
+		t.Fatalf("live = %d, want 2", k.live)
 	}
 }
 
 // Shrink must rehome surviving steps whose residues wrap around the smaller
-// ring: survivors {6,7,8,9} land at residues {6,7,0,1} mod 8.
+// ring: survivors {6,7,8,9} land at residues {2,3,0,1} mod 4.
 func TestDenseRingShrinkWrapBoundary(t *testing.T) {
 	k := singleColKnow()
 	for s := int32(1); s <= 16; s++ {
@@ -221,7 +234,7 @@ func TestDenseWaiterSurvivesShrink(t *testing.T) {
 func TestDenseRingShrinkRefusesWideSpan(t *testing.T) {
 	k := singleColKnow()
 	k.put(0, 1, 1)
-	k.put(0, 33, 2) // 33 ≡ 1 mod 8: conflict, span 33 -> cap 64
+	k.put(0, 33, 2) // 33 ≡ 1 mod 4: conflict, span 33 -> cap 64
 	if k.slots != 64 {
 		t.Fatalf("slots = %d, want 64", k.slots)
 	}
@@ -431,28 +444,29 @@ func TestDensePendingChainDrainsThenCounts(t *testing.T) {
 
 // Shrink fires at the same live*4 == len crossing whatever the consumer
 // count: with two consumers per value, only the second consume of the
-// retirement that takes live from 9 to 8 may shrink a 32-slot ring.
+// retirement that takes live from 9 to 8 may shrink a 32-slot ring (to 8
+// slots), and only the one that takes live from 3 to 2 shrinks it home.
 func TestDenseShrinkCrossingWithCounts(t *testing.T) {
 	k := countedKnow(2)
 	for s := int32(1); s <= 32; s++ {
 		k.put(0, s, uint64(s))
 	}
-	for s := int32(1); s <= 24; s++ {
+	want := int64(0)
+	for s := int32(1); s <= 30; s++ {
 		k.consume(0, s)
-		if k.shrinks != 0 {
+		if k.shrinks != want {
 			t.Fatalf("shrank on the first consume of step %d", s)
 		}
 		k.consume(0, s)
-		want := int64(0)
-		if s == 24 {
-			want = 1
+		if s == 24 || s == 30 {
+			want++
 		}
 		if k.shrinks != want {
 			t.Fatalf("after retiring step %d (live %d): shrinks %d, want %d", s, k.live, k.shrinks, want)
 		}
 	}
-	if k.slots != initRingSlots || k.live != 8 {
-		t.Fatalf("slots %d live %d, want %d and 8", k.slots, k.live, initRingSlots)
+	if k.slots != initRingSlots || k.live != 2 {
+		t.Fatalf("slots %d live %d, want %d and 2", k.slots, k.live, initRingSlots)
 	}
 }
 
@@ -467,15 +481,19 @@ func TestDenseRejectsUnconsumedColumn(t *testing.T) {
 	newKnow([]int32{3, 4}, []int32{1, 0})
 }
 
-// The replica record is the per-pebble hot state: one cache line.
-func TestOwnedColIsOneCacheLine(t *testing.T) {
-	if sz := unsafe.Sizeof(ownedCol{}); sz != 64 {
-		t.Fatalf("ownedCol is %d bytes, want 64", sz)
+// The per-pebble hot state: a 56-byte replica record with its database
+// inline, and initial knowledge rings of exactly one 64-byte cache line.
+func TestHotRecordSizes(t *testing.T) {
+	if sz := unsafe.Sizeof(ownedCol{}); sz != 56 {
+		t.Fatalf("ownedCol is %d bytes, want 56", sz)
 	}
 	if sz := unsafe.Sizeof(kring{}); sz != 32 {
 		t.Fatalf("kring is %d bytes, want 32", sz)
 	}
 	if sz := unsafe.Sizeof(kslot{}); sz != 16 {
 		t.Fatalf("kslot is %d bytes, want 16", sz)
+	}
+	if sz := initRingSlots * unsafe.Sizeof(kslot{}); sz != 64 {
+		t.Fatalf("an initial ring is %d bytes, want 64", sz)
 	}
 }

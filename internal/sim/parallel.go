@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"latencyhide/internal/guest"
 )
 
 // The engine has one driver, a conservative parallel discrete-event
@@ -590,13 +592,18 @@ func (a *Arena) runCuts(cfg *Config, rt *routeTable, cuts []int) (*Result, error
 			return nil, fmt.Errorf("sim: cut vector %v not strictly increasing", cuts)
 		}
 	}
+	var ref func() (*guest.DigestResult, error)
+	if cfg.Check {
+		ref = startReference(cfg.Guest)
+		defer ref()
+	}
 	var total int64
 	for i := 0; i < w; i++ {
 		total += newChunk(a.shell(i), cfg, rt, cuts[i], cuts[i+1]).remaining
 	}
 	chunks := a.shells[:w]
 	if total == 0 {
-		return collect(cfg, chunks)
+		return collect(cfg, chunks, ref)
 	}
 
 	r := &a.run
@@ -667,5 +674,5 @@ func (a *Arena) runCuts(cfg *Config, rt *routeTable, cuts []int) (*Result, error
 	if rem := r.remaining.Load(); rem != 0 {
 		return nil, fmt.Errorf("sim: run finished with %d pebbles remaining", rem)
 	}
-	return collect(cfg, chunks)
+	return collect(cfg, chunks, ref)
 }

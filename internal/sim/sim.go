@@ -63,7 +63,8 @@ type Config struct {
 	// chunk, run on the caller's goroutine.
 	Workers int
 	// Check verifies every database replica's final digest against the
-	// sequential reference executor.
+	// sequential reference executor, run beside the engine, so the guest's
+	// Graph, Op, Init and NewDatabase must be safe for concurrent use.
 	Check bool
 	// Recorder, when non-nil, receives the run's structured event stream
 	// (package obs). Chunks buffer their events and, after the run, the
